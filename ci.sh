@@ -111,8 +111,13 @@ rm -rf "$AB_STORE"
 
 echo "== corpus: cached check agrees with uncached =="
 for f in corpus/*.c; do
-  "$ACC" check --keep-going "$f" > /dev/null
-  "$ACC" check --keep-going --uncached "$f" > /dev/null
+  cached_out=$("$ACC" check --keep-going "$f")
+  uncached_out=$("$ACC" check --keep-going --uncached "$f")
+  if [ "$cached_out" != "$uncached_out" ]; then
+    echo "FAIL: cached and uncached acc check disagree on $f" >&2
+    printf '%s\n' "--- cached" "$cached_out" "--- uncached" "$uncached_out" >&2
+    exit 1
+  fi
   echo "ok: $f"
 done
 

@@ -4,8 +4,11 @@
    [nat] types.  OCaml's native [int] is 63-bit, which cannot faithfully model
    ideal integers (e.g. products of 64-bit words), so we implement a small
    bignum substrate from scratch: sign-magnitude, little-endian base-2^16
-   digit arrays.  Performance is a non-goal; values in this code base are a
-   few hundred bits at most. *)
+   digit arrays.  Values in this code base are a few hundred bits at most,
+   so multiplication and wide division stay schoolbook.  What the word layer
+   and the byte heap run per byte and per evaluation avoids that: [mod_pow2]
+   masks digits, and magnitudes that fit a native int convert and divide
+   natively. *)
 
 let base_bits = 16
 let base = 1 lsl base_bits
@@ -32,16 +35,21 @@ let mag_normalize a =
 
 let mag_is_zero a = Array.length a = 0
 
-let mag_compare a b =
-  let la = Array.length a and lb = Array.length b in
-  if la <> lb then compare la lb
-  else
-    let rec go i = if i < 0 then 0 else if a.(i) <> b.(i) then compare a.(i) b.(i) else go (i - 1) in
-    go (la - 1)
+(* Top-level rather than a local closure: comparison keys every heap map. *)
+let rec mag_compare_from (a : int array) (b : int array) i =
+  if i < 0 then 0
+  else if a.(i) <> b.(i) then Int.compare a.(i) b.(i)
+  else mag_compare_from a b (i - 1)
 
+let mag_compare (a : int array) (b : int array) =
+  let la = Array.length a and lb = Array.length b in
+  if la <> lb then Int.compare la lb else mag_compare_from a b (la - 1)
+
+(* The sum's top digit is non-zero whenever both operands are normalised,
+   so only a carry out of the top needs a longer array. *)
 let mag_add a b =
   let la = Array.length a and lb = Array.length b in
-  let lr = 1 + max la lb in
+  let lr = max la lb in
   let r = Array.make lr 0 in
   let carry = ref 0 in
   for i = 0 to lr - 1 do
@@ -51,8 +59,7 @@ let mag_add a b =
     r.(i) <- s land base_mask;
     carry := s lsr base_bits
   done;
-  assert (!carry = 0);
-  mag_normalize r
+  if !carry = 0 then r else Array.append r [| !carry |]
 
 (* Requires a >= b. *)
 let mag_sub a b =
@@ -140,11 +147,37 @@ let mag_shift_right a n =
     mag_normalize r
   end
 
-(* Binary long division on magnitudes: returns (quotient, remainder).
+(* Magnitudes of at most [small_digits] digits fit a native int. *)
+let small_digits = (Sys.int_size - 1) / base_bits
+
+let nat_of_mag a =
+  let v = ref 0 in
+  for i = Array.length a - 1 downto 0 do
+    v := (!v lsl base_bits) lor a.(i)
+  done;
+  !v
+
+(* The magnitude of a non-negative native int. *)
+let mag_of_nat n =
+  let rec len k m = if m = 0 then k else len (k + 1) (m lsr base_bits) in
+  let mag = Array.make (len 0 n) 0 in
+  let m = ref n in
+  for i = 0 to Array.length mag - 1 do
+    mag.(i) <- !m land base_mask;
+    m := !m lsr base_bits
+  done;
+  mag
+
+(* Division on magnitudes: returns (quotient, remainder).  Operands that
+   fit a native int divide natively; larger ones use binary long division,
    O(bits^2), which is ample for the word sizes in this code base. *)
 let mag_divmod a b =
   if mag_is_zero b then raise Division_by_zero;
   if mag_compare a b < 0 then ([||], a)
+  else if Array.length a <= small_digits then begin
+    let x = nat_of_mag a and y = nat_of_mag b in
+    (mag_of_nat (x / y), mag_of_nat (x mod y))
+  end
   else begin
     let bits_a = mag_bit_length a and bits_b = mag_bit_length b in
     let shift = bits_a - bits_b in
@@ -169,16 +202,12 @@ let of_mag sign mag =
   let mag = mag_normalize mag in
   if mag_is_zero mag then zero else { sign; mag }
 
-let rec of_int n =
+let of_int n =
   if n = 0 then zero
   else if n = min_int then
-    (* abs min_int overflows; build it as -(max_int + 1). *)
-    { sign = -1; mag = mag_add (of_int max_int).mag [| 1 |] }
-  else begin
-    let sign = if n < 0 then -1 else 1 in
-    let rec digits acc n = if n = 0 then acc else digits ((n land base_mask) :: acc) (n lsr base_bits) in
-    of_mag sign (Array.of_list (List.rev (digits [] (abs n))))
-  end
+    (* abs min_int overflows; its magnitude is 2^(int_size-1). *)
+    { sign = -1; mag = mag_shift_left [| 1 |] (Sys.int_size - 1) }
+  else { sign = (if n < 0 then -1 else 1); mag = mag_of_nat (Stdlib.abs n) }
 
 let one = of_int 1
 let two = of_int 2
@@ -389,11 +418,29 @@ let pp fmt x = Format.pp_print_string fmt (to_string x)
 
 let hash x = Hashtbl.hash (x.sign, x.mag)
 
-(* Modular reduction to [0, 2^n): the C unsigned-overflow semantics. *)
-let mod_pow2 x n = fmod x (pow2 n)
+(* Modular reduction to [0, 2^n): the C unsigned-overflow semantics, equal
+   to [fmod x (pow2 n)].  The low n bits of the magnitude are a mask over
+   its digits; a negative x = -m maps to 2^n - (m mod 2^n) unless that
+   remainder is zero.  The kernel reaches this through [Absdom], so the
+   test suite checks it against [fmod] on random signed inputs. *)
+let mod_pow2 x n =
+  if n < 0 then invalid_arg "Ac_bignum.mod_pow2";
+  let d = n / base_bits and o = n mod base_bits in
+  let la = Array.length x.mag in
+  let low =
+    if d >= la then x.mag
+    else begin
+      let r = Array.sub x.mag 0 (d + 1) in
+      r.(d) <- r.(d) land ((1 lsl o) - 1);
+      mag_normalize r
+    end
+  in
+  if mag_is_zero low then zero
+  else if x.sign > 0 then if low == x.mag then x else { sign = 1; mag = low }
+  else { sign = 1; mag = mag_sub (mag_shift_left [| 1 |] n) low }
 
 (* Reduction to the signed two's-complement range [-2^(n-1), 2^(n-1)). *)
 let signed_mod_pow2 x n =
-  let m = pow2 n in
-  let r = fmod x m in
-  if ge r (pow2 (n - 1)) then sub r m else r
+  if n < 1 then invalid_arg "Ac_bignum.signed_mod_pow2";
+  let r = mod_pow2 x n in
+  if mag_test_bit r.mag (n - 1) then sub r (pow2 n) else r

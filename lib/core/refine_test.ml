@@ -33,12 +33,32 @@ let fuel = 50_000
 (* ------------------------------------------------------------------ *)
 (* Random state and argument generation. *)
 
+(* The objects allocated so far, per C type, in allocation order. *)
+type pool = { mutable addrs : B.t array; mutable count : int }
+
 type gen = {
   rand : Random.State.t;
   lenv : Layout.env;
   mutable heap : Heap.t;
-  mutable ptr_pool : (Ty.cty * B.t) list;
+  mutable ptr_pool : (Ty.cty * pool) list;
 }
+
+let pool_of g c =
+  match List.find_opt (fun (c', _) -> Ty.cty_equal c c') g.ptr_pool with
+  | Some (_, p) -> p
+  | None ->
+    let p = { addrs = [||]; count = 0 } in
+    g.ptr_pool <- (c, p) :: g.ptr_pool;
+    p
+
+let pool_add p addr =
+  if p.count = Array.length p.addrs then begin
+    let a = Array.make (max 8 (2 * p.count)) B.zero in
+    Array.blit p.addrs 0 a 0 p.count;
+    p.addrs <- a
+  end;
+  p.addrs.(p.count) <- addr;
+  p.count <- p.count + 1
 
 let rand_word g width =
   let bits = W.bits width in
@@ -57,21 +77,31 @@ let rand_word g width =
   | 3 -> W.of_bignum width (B.pred (B.pow2 (bits - 1)))
   | _ -> W.of_bignum width (go B.zero bits)
 
+(* A known property of the case stream: an object enters [ptr_pool] only
+   after its fields have been generated, so a pointer field of a fresh
+   object never finds its parent (or siblings still being built) in the
+   pool.  Nested pointers therefore almost always allocate fresh objects —
+   up to 481 in one Schorr-Waite case — and the heap grows with the depth
+   of the pointer structure rather than staying near the pool limit.  The
+   order is left as it is on purpose: changing it changes the generated
+   states and hence the verdicts. *)
 let rec alloc_object g (c : Ty.cty) : B.t =
   let addr, h = Heap.alloc g.lenv g.heap c in
   g.heap <- h;
   (* Fill with a random value of the right type. *)
   let v = rand_value g (Ty.of_cty c) in
   g.heap <- Heap.write_obj g.lenv g.heap c addr v;
-  g.ptr_pool <- (c, addr) :: g.ptr_pool;
+  pool_add (pool_of g c) addr;
   addr
 
 and rand_ptr g (c : Ty.cty) : B.t =
-  let existing = List.filter (fun (c', _) -> Ty.cty_equal c c') g.ptr_pool in
+  let pool = pool_of g c in
+  let n = pool.count in
   match Random.State.int g.rand 10 with
   | 0 -> B.zero (* NULL *)
-  | _ when List.length existing >= 8 || (existing <> [] && Random.State.bool g.rand) ->
-    snd (List.nth existing (Random.State.int g.rand (List.length existing)))
+  | _ when n >= 8 || (n > 0 && Random.State.bool g.rand) ->
+    (* The k-th most recent object of type c. *)
+    pool.addrs.(n - 1 - Random.State.int g.rand n)
   | _ -> alloc_object g c
 
 and rand_value g (t : Ty.t) : Value.t =

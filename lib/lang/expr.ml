@@ -379,27 +379,25 @@ let span_ok lenv c addr =
 
 let eval_binop op (a : Value.t) (b : Value.t) : Value.t =
   let module V = Value in
-  let bool_result f = V.Vbool (f ()) in
   match (a, b) with
   | V.Vword (s, x), V.Vword (_, y) -> (
-    let arith f = V.Vword (s, f s x y) in
     match op with
-    | Add -> arith W.add
-    | Sub -> arith W.sub
-    | Mul -> arith W.mul
-    | Div -> if W.is_zero y then stuck "division by zero" else arith W.div
-    | Rem -> if W.is_zero y then stuck "remainder by zero" else arith W.rem
+    | Add -> V.Vword (s, W.add s x y)
+    | Sub -> V.Vword (s, W.sub s x y)
+    | Mul -> V.Vword (s, W.mul s x y)
+    | Div -> if W.is_zero y then stuck "division by zero" else V.Vword (s, W.div s x y)
+    | Rem -> if W.is_zero y then stuck "remainder by zero" else V.Vword (s, W.rem s x y)
     | Shl -> V.Vword (s, W.shift_left x (W.unat y))
     | Shr -> V.Vword (s, W.shift_right s x (W.unat y))
     | Band -> V.Vword (s, W.logand x y)
     | Bor -> V.Vword (s, W.logor x y)
     | Bxor -> V.Vword (s, W.logxor x y)
-    | Eq -> bool_result (fun () -> W.equal x y)
-    | Ne -> bool_result (fun () -> not (W.equal x y))
-    | Lt -> bool_result (fun () -> W.compare s x y < 0)
-    | Le -> bool_result (fun () -> W.compare s x y <= 0)
-    | Gt -> bool_result (fun () -> W.compare s x y > 0)
-    | Ge -> bool_result (fun () -> W.compare s x y >= 0)
+    | Eq -> V.Vbool (W.equal x y)
+    | Ne -> V.Vbool (not (W.equal x y))
+    | Lt -> V.Vbool (W.compare s x y < 0)
+    | Le -> V.Vbool (W.compare s x y <= 0)
+    | Gt -> V.Vbool (W.compare s x y > 0)
+    | Ge -> V.Vbool (W.compare s x y >= 0)
     | And | Or | Imp -> stuck "boolean op on words")
   | (V.Vint x | V.Vnat x), (V.Vint y | V.Vnat y) -> (
     let is_nat = match (a, b) with V.Vnat _, V.Vnat _ -> true | _ -> false in
@@ -417,21 +415,21 @@ let eval_binop op (a : Value.t) (b : Value.t) : Value.t =
     | Band -> wrap (B.logand x y)
     | Bor -> wrap (B.logor x y)
     | Bxor -> wrap (B.logxor x y)
-    | Eq -> bool_result (fun () -> B.equal x y)
-    | Ne -> bool_result (fun () -> not (B.equal x y))
-    | Lt -> bool_result (fun () -> B.lt x y)
-    | Le -> bool_result (fun () -> B.le x y)
-    | Gt -> bool_result (fun () -> B.gt x y)
-    | Ge -> bool_result (fun () -> B.ge x y)
+    | Eq -> V.Vbool (B.equal x y)
+    | Ne -> V.Vbool (not (B.equal x y))
+    | Lt -> V.Vbool (B.lt x y)
+    | Le -> V.Vbool (B.le x y)
+    | Gt -> V.Vbool (B.gt x y)
+    | Ge -> V.Vbool (B.ge x y)
     | And | Or | Imp -> stuck "boolean op on ideals")
   | V.Vptr (x, c), V.Vptr (y, _) -> (
     match op with
-    | Eq -> bool_result (fun () -> B.equal x y)
-    | Ne -> bool_result (fun () -> not (B.equal x y))
-    | Lt -> bool_result (fun () -> B.lt x y)
-    | Le -> bool_result (fun () -> B.le x y)
-    | Gt -> bool_result (fun () -> B.gt x y)
-    | Ge -> bool_result (fun () -> B.ge x y)
+    | Eq -> V.Vbool (B.equal x y)
+    | Ne -> V.Vbool (not (B.equal x y))
+    | Lt -> V.Vbool (B.lt x y)
+    | Le -> V.Vbool (B.le x y)
+    | Gt -> V.Vbool (B.gt x y)
+    | Ge -> V.Vbool (B.ge x y)
     | Sub -> V.Vint (B.sub x y)
     | _ -> stuck "pointer op %s" (Ty.cty_to_string c))
   | V.Vbool x, V.Vbool y -> (

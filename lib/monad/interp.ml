@@ -26,12 +26,6 @@ open M
 
 type res = Rnorm of Value.t | Rexc of Value.t
 
-type outcome =
-  | Ok of res * State.t
-  | Failed of string (* the monad's failure flag: guard violation or fail *)
-  | Stuck of string
-  | Out_of_fuel
-
 (* The expression-evaluation view for monadic programs: both concrete and
    lifted heap operations are available. *)
 let view lenv (s : State.t) : E.view =
@@ -47,6 +41,40 @@ let view lenv (s : State.t) : E.view =
     lenv;
   }
 
+(* A state with its view.  The view reads only the globals and the heap, so
+   it is built when one of those changes and shared by every expression
+   evaluated until then, rather than built per evaluation.  It travels with
+   the state it reads instead of sitting in a cache, so runs on different
+   domains share nothing. *)
+type vstate = { st : State.t; view : E.view }
+
+let vstate lenv st = { st; view = view lenv st }
+
+let with_locals vs locals = { vs with st = { vs.st with State.locals } }
+
+(* Per-run context: the program and its callees, each looked up in the
+   function list on its first call of the run and kept for the rest. *)
+type run = { prog : program; mutable callees : func option SMap.t }
+
+let callee rt fname =
+  match SMap.find_opt fname rt.callees with
+  | Some f -> f
+  | None ->
+    let f = find_func rt.prog fname in
+    rt.callees <- SMap.add fname f rt.callees;
+    f
+
+(* Lambda-bound variables shadow state-resident locals of the same name; at
+   L1 env is empty and locals provide everything. *)
+let eval vs env e = E.eval vs.view (SMap.union (fun _ v _ -> Some v) env vs.st.State.locals) e
+
+(* Left to right, like [List.map]: the first stuck argument is reported. *)
+let rec eval_args vs env = function
+  | [] -> []
+  | e :: es ->
+    let v = eval vs env e in
+    v :: eval_args vs env es
+
 let rec bind_pat (p : pat) (v : Value.t) (env : Value.t SMap.t) : Value.t SMap.t =
   match (p, v) with
   | Pwild, _ -> env
@@ -56,100 +84,99 @@ let rec bind_pat (p : pat) (v : Value.t) (env : Value.t SMap.t) : Value.t SMap.t
   | Ptuple [ p ], v -> bind_pat p v env
   | Ptuple _, _ -> E.stuck "tuple pattern mismatch against %s" (Value.to_string v)
 
-let apply_smod lenv (s : State.t) (env : Value.t SMap.t) (sm : smod) : State.t =
-  (* At L1 the evaluation environment is the locals map itself. *)
-  let full_env = SMap.union (fun _ v _ -> Some v) env s.State.locals in
-  let eval e = E.eval (view lenv s) full_env e in
+let apply_smod lenv (vs : vstate) (env : Value.t SMap.t) (sm : smod) : vstate =
+  let s = vs.st in
+  let with_heap h = vstate lenv (State.with_heap s h) in
   match sm with
   | Heap_write (c, p, v) -> (
-    match eval p with
-    | Value.Vptr (addr, _) -> State.with_heap s (Heap.write_obj lenv s.State.heap c addr (eval v))
+    match eval vs env p with
+    | Value.Vptr (addr, _) -> with_heap (Heap.write_obj lenv s.State.heap c addr (eval vs env v))
     | _ -> E.stuck "heap write through non-pointer")
   | Typed_write (c, p, v) -> (
-    match eval p with
+    match eval vs env p with
     | Value.Vptr (addr, _) ->
       (* The abstract functional update s[p := v]; mirrored onto the byte
          heap, which is what st projects from. *)
-      State.with_heap s (Heap.write_obj lenv s.State.heap c addr (eval v))
+      with_heap (Heap.write_obj lenv s.State.heap c addr (eval vs env v))
     | _ -> E.stuck "typed write through non-pointer")
-  | Global_set (x, e) -> State.set_global s x (eval e)
-  | Local_set (x, e) -> State.set_local s x (eval e)
+  | Global_set (x, e) -> vstate lenv (State.set_global s x (eval vs env e))
+  | Local_set (x, e) -> { vs with st = State.set_local s x (eval vs env e) }
   | Retype (c, p) -> (
-    match eval p with
-    | Value.Vptr (addr, _) -> State.with_heap s (Heap.retype lenv s.State.heap c addr)
+    match eval vs env p with
+    | Value.Vptr (addr, _) -> with_heap (Heap.retype lenv s.State.heap c addr)
     | _ -> E.stuck "retype through non-pointer")
 
-let rec exec (prog : program) (fuel : int) (env : Value.t SMap.t) (s : State.t) (m : M.t) :
-    outcome =
+(* The final state keeps its view for the continuation. *)
+type outcome =
+  | Ok of res * vstate
+  | Failed of string (* the monad's failure flag: guard violation or fail *)
+  | Stuck of string
+  | Out_of_fuel
+
+let rec exec (rt : run) (fuel : int) (env : Value.t SMap.t) (vs : vstate) (m : M.t) : outcome =
   if fuel <= 0 then Out_of_fuel
   else begin
-    let lenv = prog.lenv in
-    (* Lambda-bound variables shadow state-resident locals of the same name;
-       at L1 env is empty and locals provide everything. *)
-    let full_env = SMap.union (fun _ v _ -> Some v) env s.State.locals in
-    let eval e = E.eval (view lenv s) full_env e in
+    let lenv = rt.prog.lenv in
     match m with
-    | Return e -> ( try Ok (Rnorm (eval e), s) with E.Eval_stuck msg -> Stuck msg)
-    | Gets e -> ( try Ok (Rnorm (eval e), s) with E.Eval_stuck msg -> Stuck msg)
+    | Return e | Gets e -> ( try Ok (Rnorm (eval vs env e), vs) with E.Eval_stuck msg -> Stuck msg)
     | Modify sms -> (
-      try Ok (Rnorm Value.Vunit, List.fold_left (fun s sm -> apply_smod lenv s env sm) s sms)
+      try Ok (Rnorm Value.Vunit, List.fold_left (fun vs sm -> apply_smod lenv vs env sm) vs sms)
       with E.Eval_stuck msg -> Stuck msg)
     | Guard (k, e) -> (
-      match eval e with
-      | Value.Vbool true -> Ok (Rnorm Value.Vunit, s)
+      match eval vs env e with
+      | Value.Vbool true -> Ok (Rnorm Value.Vunit, vs)
       | Value.Vbool false -> Failed (Ir.guard_kind_name k)
       | _ -> Stuck "non-boolean guard"
       | exception E.Eval_stuck msg -> Stuck msg)
     | Fail -> Failed "fail"
-    | Throw e -> ( try Ok (Rexc (eval e), s) with E.Eval_stuck msg -> Stuck msg)
-    | Unknown t -> Ok (Rnorm (default_of_ty prog t), s)
+    | Throw e -> ( try Ok (Rexc (eval vs env e), vs) with E.Eval_stuck msg -> Stuck msg)
+    | Unknown t -> Ok (Rnorm (default_of_ty rt.prog t), vs)
     | Bind (a, p, b) -> (
-      match exec prog fuel env s a with
-      | Ok (Rnorm v, s') -> (
+      match exec rt fuel env vs a with
+      | Ok (Rnorm v, vs') -> (
         match bind_pat p v env with
-        | env' -> exec prog fuel env' s' b
+        | env' -> exec rt fuel env' vs' b
         | exception E.Eval_stuck msg -> Stuck msg)
       | other -> other)
     | Try (a, p, handler) -> (
-      match exec prog fuel env s a with
-      | Ok (Rexc v, s') -> (
+      match exec rt fuel env vs a with
+      | Ok (Rexc v, vs') -> (
         match bind_pat p v env with
-        | env' -> exec prog fuel env' s' handler
+        | env' -> exec rt fuel env' vs' handler
         | exception E.Eval_stuck msg -> Stuck msg)
       | other -> other)
     | Cond (c, a, b) -> (
-      match eval c with
-      | Value.Vbool true -> exec prog fuel env s a
-      | Value.Vbool false -> exec prog fuel env s b
+      match eval vs env c with
+      | Value.Vbool true -> exec rt fuel env vs a
+      | Value.Vbool false -> exec rt fuel env vs b
       | _ -> Stuck "non-boolean condition"
       | exception E.Eval_stuck msg -> Stuck msg)
     | While (p, cond, body, init) -> (
-      match eval init with
+      match eval vs env init with
       | exception E.Eval_stuck msg -> Stuck msg
       | i ->
-        let rec loop fuel i s =
+        let rec loop fuel i vs =
           if fuel <= 0 then Out_of_fuel
           else begin
             let env' = bind_pat p i env in
-            let full' = SMap.union (fun _ v _ -> Some v) env' s.State.locals in
-            match E.eval (view lenv s) full' cond with
-            | Value.Vbool false -> Ok (Rnorm i, s)
+            match eval vs env' cond with
+            | Value.Vbool false -> Ok (Rnorm i, vs)
             | Value.Vbool true -> (
-              match exec prog (fuel - 1) env' s body with
-              | Ok (Rnorm i', s') -> loop (fuel - 1) i' s'
+              match exec rt (fuel - 1) env' vs body with
+              | Ok (Rnorm i', vs') -> loop (fuel - 1) i' vs'
               | other -> other)
             | _ -> Stuck "non-boolean loop condition"
             | exception E.Eval_stuck msg -> Stuck msg
           end
         in
-        loop fuel i s)
+        loop fuel i vs)
     | Call (fname, args) | Exec_concrete (fname, args) -> (
-      match find_func prog fname with
+      match callee rt fname with
       | None -> Stuck ("call to unknown function " ^ fname)
       | Some f -> (
-        match List.map eval args with
+        match eval_args vs env args with
         | exception E.Eval_stuck msg -> Stuck msg
-        | arg_vals -> exec_func prog (fuel - 1) s f arg_vals))
+        | arg_vals -> exec_func rt (fuel - 1) vs f arg_vals))
   end
 
 and default_of_ty prog (t : Ty.t) : Value.t =
@@ -165,18 +192,17 @@ and default_of_ty prog (t : Ty.t) : Value.t =
 
 (* Run a function body under its calling convention; the caller's locals are
    saved and restored around state-resident callees. *)
-and exec_func prog fuel (s : State.t) (f : func) (args : Value.t list) : outcome =
+and exec_func rt fuel (vs : vstate) (f : func) (args : Value.t list) : outcome =
   if List.length args <> List.length f.params then
     Stuck (Printf.sprintf "%s: arity mismatch" f.name)
   else begin
     match f.convention with
-    | Lambda_bound -> (
+    | Lambda_bound ->
       let env =
         List.fold_left2 (fun m (p, _) v -> SMap.add p v m) SMap.empty f.params args
       in
-      match exec prog fuel env s f.body with
-      | Ok (r, s') -> Ok (r, s')
-      | other -> other)
+      (* A tail call, so tail recursion in the program runs in constant stack. *)
+      exec rt fuel env vs f.body
     | Locals_in_state -> (
       (* Parameters bound, declared locals default-initialised (matching the
          Simpl semantics and the lifting phase's default substitution). *)
@@ -185,20 +211,18 @@ and exec_func prog fuel (s : State.t) (f : func) (args : Value.t list) : outcome
       in
       let callee_locals =
         List.fold_left
-          (fun m (x, t) -> if SMap.mem x m then m else SMap.add x (default_of_ty prog t) m)
+          (fun m (x, t) -> if SMap.mem x m then m else SMap.add x (default_of_ty rt.prog t) m)
           with_params f.locals
       in
-      let saved = s.State.locals in
-      let s0 = { s with State.locals = callee_locals } in
-      match exec prog fuel SMap.empty s0 f.body with
-      | Ok (_, s') ->
+      match exec rt fuel SMap.empty (with_locals vs callee_locals) f.body with
+      | Ok (_, vs') ->
         (* Result: the ret ghost local if the callee has one. *)
         let rv =
-          match SMap.find_opt Ir.ret_var s'.State.locals with
+          match SMap.find_opt Ir.ret_var vs'.st.State.locals with
           | Some v -> v
           | None -> Value.Vunit
         in
-        Ok (Rnorm rv, { s' with State.locals = saved })
+        Ok (Rnorm rv, with_locals vs' vs.st.State.locals)
       | other -> other)
   end
 
@@ -211,12 +235,13 @@ type run_result =
   | Diverges
 
 let run_func (prog : program) ~fuel (s : State.t) fname (args : Value.t list) : run_result =
-  match find_func prog fname with
+  let rt = { prog; callees = SMap.empty } in
+  match callee rt fname with
   | None -> Gets_stuck ("unknown function " ^ fname)
   | Some f -> (
-    match exec_func prog fuel s f args with
-    | Ok (Rnorm v, s') -> Returns (v, s')
-    | Ok (Rexc v, s') -> Throws (v, s')
+    match exec_func rt fuel (vstate prog.lenv s) f args with
+    | Ok (Rnorm v, vs) -> Returns (v, vs.st)
+    | Ok (Rexc v, vs) -> Throws (v, vs.st)
     | Failed m -> Fails m
     | Stuck m -> Gets_stuck m
     | Out_of_fuel -> Diverges)

@@ -49,15 +49,26 @@ let tag_at h addr = BMap.find_opt addr h.tags
 
 (* Retype the object at [addr] to type [c]: clears any tag whose footprint
    overlaps the new object, then tags [addr].  This is the ghost annotation
-   emitted at malloc/free-style reuse points (paper Sec 4.2). *)
+   emitted at malloc/free-style reuse points (paper Sec 4.2).
+
+   Tags never overlap (every tag is placed by [retype], which clears what it
+   would overlap), so the only tag starting below [addr] that can reach into
+   the new object is the last one; the others overlapping it start inside
+   [addr, addr + size).  A tag at [addr] itself is replaced either way. *)
 let retype lenv h (c : Ty.cty) addr =
-  let size = B.of_int (Layout.size_of lenv c) in
-  let hi = B.add addr size in
-  let overlapping a c' =
-    let size' = B.of_int (Layout.size_of lenv c') in
-    B.lt a hi && B.lt addr (B.add a size')
+  let hi = B.add addr (B.of_int (Layout.size_of lenv c)) in
+  let tags =
+    match BMap.find_last_opt (fun a -> B.lt a addr) h.tags with
+    | Some (a, c') when B.lt addr (B.add a (B.of_int (Layout.size_of lenv c'))) ->
+      BMap.remove a h.tags
+    | _ -> h.tags
   in
-  let tags = BMap.filter (fun a c' -> not (overlapping a c')) h.tags in
+  let tags =
+    Seq.fold_left
+      (fun tags (a, _) -> BMap.remove a tags)
+      tags
+      (Seq.take_while (fun (a, _) -> B.lt a hi) (BMap.to_seq_from addr tags))
+  in
   { h with tags = BMap.add addr c tags }
 
 let untype h addr = { h with tags = BMap.remove addr h.tags }
@@ -84,14 +95,18 @@ let tagged_objects h = BMap.bindings h.tags
 let alloc lenv h (c : Ty.cty) : B.t * t =
   let align = B.of_int (Layout.align_of lenv c) in
   let size = B.of_int (Layout.size_of lenv c) in
+  (* The first free address lies above the 0x1000 floor, every tagged
+     footprint and every written byte.  Tags do not overlap, so the tag that
+     starts highest also ends highest. *)
+  let next = B.of_int 0x1000 in
   let next =
-    BMap.fold
-      (fun a c' acc ->
-        let e = B.add a (B.of_int (Layout.size_of lenv c')) in
-        B.max acc e)
-      h.tags (B.of_int 0x1000)
+    match BMap.max_binding_opt h.tags with
+    | Some (a, c') -> B.max next (B.add a (B.of_int (Layout.size_of lenv c')))
+    | None -> next
   in
-  let next = BMap.fold (fun a _ acc -> B.max acc (B.succ a)) h.bytes next in
+  let next =
+    match BMap.max_binding_opt h.bytes with Some (a, _) -> B.max next (B.succ a) | None -> next
+  in
   let addr = B.mul (B.fdiv (B.add next (B.pred align)) align) align in
   let h = retype lenv h c addr in
   (* zero-initialise *)

@@ -22,6 +22,19 @@ let arb_big = QCheck.make ~print:s gen_big
 
 let arb_small_int = QCheck.int_range (-1000000) 1000000
 
+(* Signed bignums of 0-6 base-2^16 digits, built from the digits so every
+   length (and all-ones / zero digits) is reached. *)
+let gen_digits =
+  let open QCheck.Gen in
+  let digit = frequency [ (4, int_range 0 0xFFFF); (1, oneofl [ 0; 1; 0x8000; 0xFFFF ]) ] in
+  let* n = int_range 0 6 in
+  let* ds = list_size (return n) digit in
+  let* negative = bool in
+  let mag = List.fold_left (fun acc d -> B.add (B.shift_left acc 16) (B.of_int d)) B.zero ds in
+  return (if negative then B.neg mag else mag)
+
+let arb_digits = QCheck.make ~print:s gen_digits
+
 let unit_tests =
   [
     ( "of_string/to_string round trips",
@@ -154,6 +167,20 @@ let prop_tests =
         B.le (B.neg (B.pow2 (n - 1))) r && B.lt r (B.pow2 (n - 1)));
     Test.make ~name:"mod_pow2 congruence" ~count:300 (pair arb_big (int_range 1 80)) (fun (a, n) ->
         B.is_zero (B.fmod (B.sub a (B.mod_pow2 a n)) (B.pow2 n)));
+    (* The reference for the digit-masking fast path: the kernel reaches
+       mod_pow2 through Absdom, so it must agree with flooring division.
+       Structural equality also pins the representation (normalised
+       digits), which [hash] depends on. *)
+    Test.make ~name:"mod_pow2 is fmod by pow2" ~count:1000 (pair arb_digits (int_range 0 100))
+      (fun (a, n) -> B.mod_pow2 a n = B.fmod a (B.pow2 n));
+    Test.make ~name:"signed_mod_pow2 matches its fmod definition" ~count:1000
+      (pair arb_digits (int_range 1 100)) (fun (a, n) ->
+        let m = B.pow2 n in
+        let r = B.fmod a m in
+        let expected = if B.ge r (B.pow2 (n - 1)) then B.sub r m else r in
+        B.signed_mod_pow2 a n = expected);
+    Test.make ~name:"of_int matches decimal" ~count:1000 int (fun n ->
+        B.of_int n = B.of_string (string_of_int n));
     Test.make ~name:"gcd divides both" ~count:200 (pair arb_big arb_big) (fun (a, x) ->
         QCheck.assume (not (B.is_zero a) || not (B.is_zero x));
         let g = B.gcd a x in

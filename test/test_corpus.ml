@@ -174,7 +174,29 @@ let width_tests =
     );
   ]
 
+(* The differential tester's case stream, pinned at the default case count
+   [acc check] uses.  A change to the generated states, the fuel semantics
+   or either interpreter that alters any verdict fails here, whatever it
+   does for speed. *)
+let pinned_reports =
+  List.map
+    (fun (file, (cases, agreed, abstract_failed, skipped)) ->
+      ( Printf.sprintf "pinned differential report: %s" file,
+        fun () ->
+          let source = In_channel.with_open_bin ("../corpus/" ^ file) In_channel.input_all in
+          let r = Refine_test.check_program (Driver.run source) in
+          Alcotest.(check (list int))
+            "cases/agreed/abstract_failed/skipped"
+            [ cases; agreed; abstract_failed; skipped ]
+            [ r.Refine_test.cases; r.agreed; r.abstract_failed; r.skipped ];
+          Alcotest.(check int) "violations" 0 (List.length r.Refine_test.violations) ))
+    [
+      ("schorr_waite.c", (100, 100, 0, 0));
+      ("mutual_parity.c", (300, 43, 0, 257));
+      ("suzuki.c", (100, 63, 37, 0));
+    ]
+
 let suite =
   List.map
     (fun (n, f) -> Alcotest.test_case n `Quick f)
-    (pipeline_tests @ differential_tests @ width_tests)
+    (pipeline_tests @ differential_tests @ width_tests @ pinned_reports)

@@ -206,6 +206,11 @@ let rule_tests =
         let thm = Thm.by c (Rules.W_var "x") [] in
         Alcotest.(check bool) "valid in its ctx" true (Thm.check c thm = Ok ());
         Alcotest.(check bool) "invalid without registration" true (Thm.check ctx thm <> Ok ()) );
+    ( "rw_return_bind on a non-return is rejected, not a crash",
+      fun () ->
+        match Rules.infer ctx (Rules.Rw_return_bind (M.Fail, M.Pwild, M.Fail)) [] with
+        | Error _ -> ()
+        | Ok _ -> Alcotest.fail "rw_return_bind accepted a non-return" );
     ( "custom rules are consulted by name",
       fun () ->
         Rules.register_custom_rule "test_rule" (fun _ _ ->

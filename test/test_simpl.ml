@@ -255,7 +255,120 @@ let exec_tests =
           (run "int f(int n) { return 1 << n; }" "f" [ v32 32 ]) );
   ]
 
+(* Reference heap operations: the plain fold/filter definitions that
+   [Heap.alloc] and [Heap.retype] compute with log-time map lookups. *)
+module Ref_heap = struct
+  let size lenv c = B.of_int (Layout.size_of lenv c)
+
+  let retype lenv (h : Heap.t) c addr =
+    let hi = B.add addr (size lenv c) in
+    let overlapping a c' = B.lt a hi && B.lt addr (B.add a (size lenv c')) in
+    let tags = Heap.BMap.filter (fun a c' -> not (overlapping a c')) h.Heap.tags in
+    { h with Heap.tags = Heap.BMap.add addr c tags }
+
+  let alloc lenv (h : Heap.t) c =
+    let align = B.of_int (Layout.align_of lenv c) in
+    let next =
+      Heap.BMap.fold
+        (fun a c' acc -> B.max acc (B.add a (size lenv c')))
+        h.Heap.tags (B.of_int 0x1000)
+    in
+    let next = Heap.BMap.fold (fun a _ acc -> B.max acc (B.succ a)) h.Heap.bytes next in
+    let addr = B.mul (B.fdiv (B.add next (B.pred align)) align) align in
+    let h = retype lenv h c addr in
+    (addr, Heap.write_bytes h addr (List.init (Layout.size_of lenv c) (fun _ -> 0)))
+end
+
+type heap_op =
+  | Alloc of int (* type index *)
+  | Retype of int * int * int (* type index, anchor tag index, byte offset *)
+  | Untype of int * int (* anchor tag index, byte offset *)
+  | Write of int * int (* anchor tag index, byte offset *)
+
+let heap_lenv =
+  let lenv =
+    Layout.declare_struct Layout.empty "node"
+      [ ("next", Ty.Cptr (Ty.Cstruct "node")); ("data", Ty.Cword (Ty.Unsigned, Ty.W32)) ]
+  in
+  Layout.declare_struct lenv "pair"
+    [ ("a", Ty.Cword (Ty.Unsigned, Ty.W8)); ("b", Ty.Cword (Ty.Signed, Ty.W64)) ]
+
+let heap_types =
+  [|
+    Ty.Cword (Ty.Unsigned, Ty.W8);
+    Ty.Cword (Ty.Signed, Ty.W16);
+    Ty.Cword (Ty.Unsigned, Ty.W32);
+    Ty.Cword (Ty.Unsigned, Ty.W64);
+    Ty.Cptr (Ty.Cstruct "node");
+    Ty.Cstruct "node";
+    Ty.Cstruct "pair";
+  |]
+
+let gen_heap_op =
+  let open QCheck.Gen in
+  let ty = int_range 0 (Array.length heap_types - 1) and anchor = int_range 0 50 in
+  let off = int_range (-12) 24 in
+  frequency
+    [
+      (4, map (fun t -> Alloc t) ty);
+      (3, map3 (fun t a o -> Retype (t, a, o)) ty anchor off);
+      (1, map2 (fun a o -> Untype (a, o)) anchor (oneofl [ 0; 0; 1 ]));
+      (1, map2 (fun a o -> Write (a, o)) anchor (int_range 0 64));
+    ]
+
+let print_heap_op = function
+  | Alloc t -> Printf.sprintf "alloc %d" t
+  | Retype (t, a, o) -> Printf.sprintf "retype %d @%d%+d" t a o
+  | Untype (a, o) -> Printf.sprintf "untype @%d%+d" a o
+  | Write (a, o) -> Printf.sprintf "write @%d%+d" a o
+
+(* Each step runs on both heaps; a step is addressed relative to an object
+   the heap already has, so retypes land on, inside and across objects. *)
+let heap_ops_agree ops =
+  let lenv = heap_lenv in
+  let at (h : Heap.t) a o =
+    match Heap.tagged_objects h with
+    | [] -> B.of_int (0x1000 + o)
+    | objs -> B.add (fst (List.nth objs (a mod List.length objs))) (B.of_int o)
+  in
+  let step (h, r) op =
+    match op with
+    | Alloc t ->
+      let c = heap_types.(t) in
+      let a, h = Heap.alloc lenv h c and a', r = Ref_heap.alloc lenv r c in
+      if not (B.equal a a') then
+        QCheck.Test.fail_reportf "alloc at %s, reference %s" (B.to_string a) (B.to_string a');
+      (h, r)
+    | Retype (t, a, o) ->
+      let addr = at h a o in
+      (Heap.retype lenv h heap_types.(t) addr, Ref_heap.retype lenv r heap_types.(t) addr)
+    | Untype (a, o) ->
+      let addr = at h a o in
+      (Heap.untype h addr, Heap.untype r addr)
+    | Write (a, o) ->
+      let addr = at h a o in
+      (Heap.write_byte h addr 0xAB, Heap.write_byte r addr 0xAB)
+  in
+  List.fold_left
+    (fun (h, r) op ->
+      let h, r = step (h, r) op in
+      if not (Heap.equal h r) then QCheck.Test.fail_reportf "heaps differ after %s" (print_heap_op op);
+      (h, r))
+    (Heap.empty, Heap.empty) ops
+  |> ignore;
+  true
+
+let heap_props =
+  [
+    QCheck.Test.make ~name:"heap alloc/retype/untype match the fold/filter reference" ~count:300
+      (QCheck.make
+         ~print:QCheck.Print.(list print_heap_op)
+         QCheck.Gen.(list_size (int_range 1 60) gen_heap_op))
+      heap_ops_agree;
+  ]
+
 let suite =
   List.map
     (fun (n, f) -> Alcotest.test_case n `Quick f)
     (heap_tests @ translation_tests @ exec_tests)
+  @ List.map QCheck_alcotest.to_alcotest heap_props

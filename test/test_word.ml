@@ -158,6 +158,16 @@ let prop_tests =
         W.equal (W.cast ~to_sign:W.Unsigned ~to_width:W.W32 W.Unsigned up) a);
     Test.make ~name:"byte round trip" ~count:500 arb_w32 (fun a ->
         W.equal (W.of_bytes W.W32 (W.to_bytes a)) a);
+    (* to_bytes reduces through B.mod_pow2 once per byte: both directions
+       of the round trip, at every width. *)
+    Test.make ~name:"byte round trip at every width" ~count:500
+      (pair (oneofl [ W.W8; W.W16; W.W32; W.W64 ]) (list_of_size (Gen.return 8) (int_range 0 255)))
+      (fun (w, bytes) ->
+        let bytes = List.filteri (fun i _ -> i < W.bits w / 8) bytes in
+        let x = W.of_bytes w bytes in
+        W.to_bytes x = bytes && W.equal (W.of_bytes w (W.to_bytes x)) x
+        && B.equal (W.unat x)
+             (List.fold_right (fun b acc -> B.add (B.shift_left acc 8) (B.of_int b)) bytes B.zero));
     Test.make ~name:"div identity" ~count:500 (pair arb_w32 arb_w32) (fun (a, c) ->
         QCheck.assume (not (W.is_zero c));
         QCheck.assume (not (W.div_overflows W.Signed a c));
