@@ -178,6 +178,15 @@ fi
 
 "$ACC" cache stat --store "$STORE_DIR" > /dev/null
 
+echo "== perfbench: the benchmark's own tests =="
+# Seeded inputs and output checks for every workload, a traced run whose
+# trace validates and reports every per-layer metric, and the refusal to
+# report from a directory that is not a checkout.
+if ! python3 perfbench/test_bench.py; then
+  echo "FAIL: perfbench/test_bench.py" >&2
+  exit 1
+fi
+
 echo "== store crash-safety: kill -9 a writer mid-corpus, reopen, replay =="
 # A writer process is SIGKILLed at several points while populating the
 # store.  Whatever it managed to publish must be a consistent store:

@@ -82,12 +82,6 @@ type options = {
      value: [Pool.map] preserves input order and first-failure
      semantics. *)
   jobs : int;
-  (* Reuse L2 conversions across nothrow-fixpoint rounds when the
-     function's observable environment (the nothrow status of its own
-     callees) is unchanged.  A/B switch for benchmarking: off reproduces
-     the pre-memo cost model (every function re-converted every round);
-     output is identical either way. *)
-  l2_memo : bool;
   (* Interprocedural guard discharge: compute per-function summaries
      bottom-up over the call graph and let the analysis carry facts
      across calls (every discharge still goes through the kernel, which
@@ -104,7 +98,7 @@ type options = {
 let default_options =
   { defaults = default_func_options; overrides = []; strategy = Wa.default_strategy;
     polish = true; keep_going = false; budgets = default_budgets; jobs = 1;
-    l2_memo = true; interproc = true; summary_profile = false }
+    interproc = true; summary_profile = false }
 
 let options_for options fname =
   match List.assoc_opt fname options.overrides with
@@ -115,8 +109,8 @@ let options_for options fname =
    key: every knob that can change what the pipeline produces for one
    function must appear here, so flipping any of them misses the store
    instead of replaying a result computed under different settings.
-   [jobs] and [l2_memo] are deliberately absent — they change scheduling
-   and cost, never output. *)
+   [jobs] is deliberately absent — it changes scheduling and cost, never
+   output. *)
 let opt_string (options : options) (fname : string) : string =
   let o = options_for options fname in
   let b = options.budgets in
@@ -590,14 +584,19 @@ let run ?(options = default_options) ?store ?pool:ext_pool ?supervisor
   in
   (* L2.  The nothrow analysis is a fixpoint across functions: once a
      callee's exception wrapper is eliminated, callers can eliminate theirs
-     too, so iterate until the nothrow set stabilises.  A function whose
-     conversion fails with the clean-up rewrites on is retried without
-     them ([Polish] degradation); failing even then drops it to L1.
+     too.  A conversion observes [ctx.nothrows] only through the call
+     targets in the function's body ([Rules.nothrow_in]; rewriting never
+     invents calls), so the fixpoint is solved bottom-up over the call
+     graph's strongly connected components: a function is converted once
+     its callees outside its component have their final status, and only a
+     recursive component iterates.  A function whose conversion fails with
+     the clean-up rewrites on is retried without them ([Polish]
+     degradation); failing even then drops it to L1.
 
      Diagnostics go into a per-conversion buffer, not the function's
-     stream: only the buffer of the *final* conversion (under the
-     stabilised nothrow set) is banked into the stream, so a failing
-     function reports its failure once, not once per fixpoint round. *)
+     stream: only the buffer of the *final* conversion is banked into the
+     stream, so a function re-converted inside a recursive component
+     reports a failure once. *)
   let l2_convert ctx diags (l1f : M.func) : (M.func * Thm.t) option =
     let fname = l1f.M.name in
     let plain () = L2.convert_func ~polish:false ctx l1f in
@@ -621,103 +620,134 @@ let run ?(options = default_options) ?store ?pool:ext_pool ?supervisor
         attempt ~keep_going ~phase:Diag.L2 ~fname ~recoverable:false diags plain
     end
   in
-  (* A conversion observes [ctx.nothrows] only through the call targets in
-     the function's body ([Rules.nothrow_in]; rewriting never invents
-     calls), so it is a function of the nothrow status of the function's
-     own callees.  Memoise on that projection: a fixpoint round re-converts
-     a function only when one of its callees changed status. *)
-  let rec callees_of (m : M.t) acc =
-    match m with
-    | M.Call (g, _) | M.Exec_concrete (g, _) -> g :: acc
-    | M.Bind (a, _, b) | M.Try (a, _, b) -> callees_of a (callees_of b acc)
-    | M.Cond (_, a, b) -> callees_of a (callees_of b acc)
-    | M.While (_, _, body, _) -> callees_of body acc
-    | M.Return _ | M.Gets _ | M.Modify _ | M.Guard _ | M.Fail | M.Throw _ | M.Unknown _ ->
-      acc
-  in
-  (* fname -> (nothrow callees at conversion time, (result, emitted diags
-     in emission order)).  Local to this run; written only from the
-     calling domain. *)
-  let l2_memo :
-      (string, string list * ((M.func * Thm.t) option * Diag.t list)) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  let l2_round nothrows =
-    let ctx = { base_ctx with Rules.nothrows } in
-    let rows =
-      List.map
-        (fun ((_, l1f, _, _) as row) ->
-          let key =
-            List.sort_uniq String.compare
-              (List.filter
-                 (fun g -> List.mem g nothrows)
-                 (callees_of (l1f : M.func).M.body []))
-          in
-          let hit =
-            if not options.l2_memo then None
-            else
-              match Hashtbl.find_opt l2_memo l1f.M.name with
-              | Some (k, entry) when List.equal String.equal k key -> Some entry
-              | _ -> None
-          in
-          (row, key, hit))
-        l1_results
-    in
-    let converted =
-      pmap
-        (fun ((_, l1f, _, _), _, hit) ->
-          match hit with
-          | Some entry -> entry
-          | None ->
-            let buf = ref [] in
-            let r = Profile.record ~func:l1f.M.name "l2" (fun () -> l2_convert ctx buf l1f) in
-            (r, List.rev !buf))
-        rows
-    in
-    List.iter2
-      (fun ((_, (l1f : M.func), _, _), key, _) entry ->
-        Hashtbl.replace l2_memo l1f.M.name (key, entry))
-      rows converted;
-    List.map2
-      (fun ((sf, l1f, l1_thm, diags), _, _) (r, _) -> (sf, l1f, l1_thm, diags, r))
-      rows converted
-  in
-  (* Store hits contribute their claimed nothrow status as a constant seed
-     of the fixpoint (their L2 bodies are not re-derived); [replay_entry]
-     re-checks each claim against the assembled unit afterwards, so a
-     wrong seed costs a retry, never soundness. *)
+  (* Store hits contribute their claimed nothrow status as constant seeds
+     (their L2 bodies are not re-derived); [replay_entry] re-checks each
+     claim against the assembled unit afterwards, so a wrong seed costs a
+     retry, never soundness. *)
   let seed_nothrows =
     List.filter_map (fun (n, e) -> if e.Store.e_nothrow then Some n else None) entries
   in
-  let rec l2_fix nothrows round =
-    let results = l2_round nothrows in
-    let nothrows' =
-      seed_nothrows
-      @ List.filter_map
-          (fun (_, _, _, _, l2) ->
-            match l2 with
-            | Some ((l2f : M.func), _) ->
-              if Rules.nothrow_in nothrows l2f.M.body then Some l2f.M.name else None
-            | None -> None)
-          results
-    in
-    if round > List.length l1_results || List.length nothrows' = List.length nothrows then
-      nothrows'
-    else l2_fix nothrows' (round + 1)
+  let l1_of = Hashtbl.create 64 in
+  List.iter (fun (_, (l1f : M.func), _, _) -> Hashtbl.replace l1_of l1f.M.name l1f) l1_results;
+  let graph =
+    Ac_analysis.Callgraph.of_funcs (List.map (fun (_, l1f, _, _) -> l1f) l1_results)
   in
-  let nothrows = l2_fix seed_nothrows 0 in
-  (* The final round under the stabilised set: with the memo on this is
-     pure lookup (the stable fixpoint round already converted under the
-     same callee environments); with it off (bench baseline) it re-converts
-     everything, reproducing the cost of the old recording round. *)
+  (* One conversion under [nothrows]: the result, or the non-recoverable
+     diagnostic (held back, so that the failure raised is the first in
+     source order whatever the schedule), the emitted diagnostics, and
+     whether the L2 body is nothrow under [nothrows]. *)
+  let convert nothrows (l1f : M.func) =
+    let buf = ref [] in
+    let r =
+      match
+        Profile.record ~func:l1f.M.name "l2" (fun () ->
+            l2_convert { base_ctx with Rules.nothrows } buf l1f)
+      with
+      | r -> Ok r
+      | exception Diag.Error d -> Error d
+    in
+    let nothrow =
+      match r with
+      | Ok (Some ((l2f : M.func), _)) -> Rules.nothrow_in nothrows l2f.M.body
+      | Ok None | Error _ -> false
+    in
+    (r, List.rev !buf, nothrow)
+  in
+  (* One component, given the nothrow callees [below] outside it (all
+     final).  A recursive component iterates from "no member nothrow", the
+     least fixpoint's starting point, re-converting only the members with a
+     callee whose status changed in the last round. *)
+  let convert_scc (scc, below) =
+    let outs = List.map (fun n -> (n, convert below (Hashtbl.find l1_of n))) scc in
+    if not (Ac_analysis.Callgraph.scc_cyclic graph scc) then outs
+    else begin
+      let inside_of outs =
+        List.filter_map (fun (n, (_, _, nothrow)) -> if nothrow then Some n else None) outs
+      in
+      let rec iterate round inside outs =
+        let inside' = inside_of outs in
+        if round > List.length scc || List.length inside' = List.length inside then outs
+        else begin
+          let flipped g = List.mem g inside' <> List.mem g inside in
+          let nothrows = inside' @ below in
+          iterate (round + 1) inside'
+            (List.map
+               (fun ((n, _) as out) ->
+                 if List.exists flipped (Ac_analysis.Callgraph.successors graph n) then
+                   (n, convert nothrows (Hashtbl.find l1_of n))
+                 else out)
+               outs)
+        end
+      in
+      iterate 0 [] outs
+    end
+  in
+  (* Components grouped by call depth (leaves at 0); the components of one
+     depth call only into lower depths, so each depth converts in parallel
+     and output is identical at any [--jobs]. *)
+  let depth = Hashtbl.create 64 in
+  let by_depth = Hashtbl.create 16 in
+  let max_depth =
+    List.fold_left
+      (fun max_depth scc ->
+        let d =
+          List.fold_left
+            (fun d n ->
+              List.fold_left
+                (fun d g ->
+                  match Hashtbl.find_opt depth g with Some dg -> max d (dg + 1) | None -> d)
+                d
+                (Ac_analysis.Callgraph.successors graph n))
+            0 scc
+        in
+        List.iter (fun n -> Hashtbl.replace depth n d) scc;
+        Hashtbl.replace by_depth d
+          (scc :: Option.value ~default:[] (Hashtbl.find_opt by_depth d));
+        max max_depth d)
+      (-1)
+      (Ac_analysis.Callgraph.sccs graph)
+  in
+  (* name -> (result, emitted diags, nothrow); seeds count as nothrow. *)
+  let final = Hashtbl.create 64 in
+  let is_nothrow g =
+    match Hashtbl.find_opt final g with
+    | Some (_, _, nothrow) -> nothrow
+    | None -> List.mem g seed_nothrows
+  in
+  for d = 0 to max_depth do
+    let task scc =
+      ( scc,
+        List.sort_uniq String.compare
+          (List.concat_map
+             (fun n ->
+               List.filter
+                 (fun g -> (not (List.mem g scc)) && is_nothrow g)
+                 (Ac_analysis.Callgraph.successors graph n))
+             scc) )
+    in
+    let tasks = List.rev_map task (Option.value ~default:[] (Hashtbl.find_opt by_depth d)) in
+    List.iter
+      (List.iter (fun (n, out) -> Hashtbl.replace final n out))
+      (pmap convert_scc tasks)
+  done;
+  let nothrows =
+    seed_nothrows
+    @ List.filter_map
+        (fun (_, (l1f : M.func), _, _) ->
+          if is_nothrow l1f.M.name then Some l1f.M.name else None)
+        l1_results
+  in
+  (* Source order: the first held-back failure raised is the first in
+     source order. *)
   let l2_rows =
     List.map
-      (fun (sf, (l1f : M.func), l1_thm, diags, r) ->
-        (match Hashtbl.find_opt l2_memo l1f.M.name with
-        | Some (_, (_, banked)) when banked <> [] -> diags := List.rev banked @ !diags
-        | _ -> ());
-        (sf, l1f, l1_thm, diags, r))
-      (l2_round nothrows)
+      (fun (sf, (l1f : M.func), l1_thm, diags) ->
+        match Hashtbl.find final l1f.M.name with
+        | Ok r, banked, _ ->
+          diags := List.rev_append banked !diags;
+          (sf, l1f, l1_thm, diags, r)
+        | Error d, _, _ -> raise (Diag.Error d))
+      l1_results
   in
   let l2_results, l1_only =
     List.partition_map

@@ -82,13 +82,21 @@ let want_head_rewrite (m : M.t) =
   match m with
   | M.Bind (M.Return e, _, _) when not (cheap e) -> false
   | M.Bind (M.Gets e, M.Pvar (x, _), b) when not (cheap e) ->
-    (* still inline single-use bindings *)
+    (* still inline single-use bindings: at most one expression of [b]
+       mentions [x] *)
+    let exception Twice in
     let uses = ref 0 in
-    M.iter_exprs
-      (fun expr ->
-        List.iter (fun v -> if String.equal v x then incr uses) (E.free_vars expr))
-      b;
-    !uses <= 1
+    (match
+       M.iter_exprs
+         (fun expr ->
+           if E.mem_var x expr then begin
+             incr uses;
+             if !uses > 1 then raise Twice
+           end)
+         b
+     with
+    | () -> true
+    | exception Twice -> false)
   | _ -> true
 
 (* Fuel budget: a cap on head rewrites per [normalize] call.  Running dry
@@ -110,48 +118,115 @@ let rec try_head (ctx : Rules.ctx) (m : M.t) : Thm.t option =
       (fun acc rule -> match acc with Some _ -> acc | None -> Thm.by_opt ctx rule [])
       None (head_rules m)
 
+(* Subterms a pass of the current [normalize] call returned unchanged,
+   keyed by physical identity.  [pass] is a function of the term alone (the
+   context is fixed per call, and fuel drains only on a rewrite, so a pass
+   that rewrote nothing inside a subterm saw the same fuel throughout), so a
+   later pass meeting the same physical subterm again — the kernel maps and
+   congruence keep untouched subterms shared — would find nothing to do and
+   may skip it.  Local to one [normalize] call: no global state, safe under
+   concurrent domains.  Only compound nodes are recorded (a leaf costs less
+   to re-examine than to look up), under a shallow hash: on the sel4-like
+   unit a full [Hashtbl.hash] of every visited node costs more time than
+   the skipped work saves. *)
+module Seen = Hashtbl.Make (struct
+  type t = M.t
+
+  let equal = ( == )
+  let hash = Hashtbl.hash_param 4 8
+end)
+
+let compound (m : M.t) =
+  match m with
+  | M.Bind _ | M.Try _ | M.Cond _ | M.While _ -> true
+  | M.Return _ | M.Gets _ | M.Modify _ | M.Guard _ | M.Fail | M.Throw _ | M.Call _
+  | M.Exec_concrete _ | M.Unknown _ ->
+    false
+
+(* [Equiv (a, m)] for a pass result: [None] means [a] is [m] itself. *)
+let refl_or ctx (m : M.t) = function
+  | Some thm -> thm
+  | None -> Thm.by ctx (Rules.Eq_refl m) []
+
+(* [newer ∘ older], where [older = None] stands for reflexivity. *)
+let then_ ctx (newer : Thm.t) = function
+  | None -> newer
+  | Some older -> trans ctx newer older
+
 (* One bottom-up pass: normalise children via congruence, then rewrite the
    head to a fixed point.  [tank] is the remaining fuel for this
-   [normalize] call. *)
-let rec pass (ctx : Rules.ctx) (tank : int ref) (m : M.t) : Thm.t =
-  let congr =
-    match m with
-    | M.Bind (a, p, b) -> Thm.by ctx (Rules.Eq_bind p) [ pass ctx tank a; pass ctx tank b ]
-    | M.Try (a, p, b) -> Thm.by ctx (Rules.Eq_try p) [ pass ctx tank a; pass ctx tank b ]
-    | M.Cond (c, a, b) -> Thm.by ctx (Rules.Eq_cond c) [ pass ctx tank a; pass ctx tank b ]
-    | M.While (p, c, body, init) ->
-      Thm.by ctx (Rules.Eq_while (p, c, init)) [ pass ctx tank body ]
-    | _ -> Thm.by ctx (Rules.Eq_refl m) []
-  in
-  head_fix ctx tank congr
-
-and head_fix ctx (tank : int ref) (thm : Thm.t) : Thm.t =
-  if !tank <= 0 then thm
+   [normalize] call.  Returns [None] when the term comes back unchanged, so
+   an untouched subtree costs no theorem at all and a changed one costs one
+   congruence step per node on the changed spine. *)
+let rec pass (ctx : Rules.ctx) (tank : int ref) (seen : unit Seen.t) (m : M.t) :
+    Thm.t option =
+  let compound = compound m in
+  if compound && Seen.mem seen m then None
   else begin
-    match try_head ctx (abs_of thm) with
-    | Some step ->
-      decr tank;
-      head_fix ctx tank (trans ctx step thm)
-    | None -> thm
+    let congr =
+      match m with
+      | M.Bind (a, p, b) -> congr2 ctx tank seen (Rules.Eq_bind p) a b
+      | M.Try (a, p, b) -> congr2 ctx tank seen (Rules.Eq_try p) a b
+      | M.Cond (c, a, b) -> congr2 ctx tank seen (Rules.Eq_cond c) a b
+      | M.While (p, c, body, init) -> (
+        match pass ctx tank seen body with
+        | None -> None
+        | Some t -> Some (Thm.by ctx (Rules.Eq_while (p, c, init)) [ t ]))
+      | _ -> None
+    in
+    let cur = match congr with Some t -> abs_of t | None -> m in
+    match head_fix ctx tank cur congr with
+    | None ->
+      if compound then Seen.replace seen m ();
+      None
+    | changed -> changed
   end
 
-(* Normalise to a global fixed point (with the expression simplifier run
-   between passes), bounded for safety by a pass limit and the fuel
-   budget. *)
+(* Children right to left (the fuel-consumption order of the original
+   per-node congruence), one congruence step when either changed. *)
+and congr2 ctx tank seen rule a b =
+  let tb = pass ctx tank seen b in
+  let ta = pass ctx tank seen a in
+  match (ta, tb) with
+  | None, None -> None
+  | _ -> Some (Thm.by ctx rule [ refl_or ctx a ta; refl_or ctx b tb ])
+
+and head_fix ctx (tank : int ref) (cur : M.t) (acc : Thm.t option) : Thm.t option =
+  if !tank <= 0 then acc
+  else begin
+    match try_head ctx cur with
+    | Some step ->
+      decr tank;
+      head_fix ctx tank (abs_of step) (Some (then_ ctx step acc))
+    | None -> acc
+  end
+
+(* Normalise to a global fixed point (with the expression simplifier and
+   the guard-discharging pass run between passes), bounded for safety by a
+   pass limit and the fuel budget.  Steps that leave the term physically
+   unchanged are not chained into the result. *)
 let normalize ?(max_passes = 12) (ctx : Rules.ctx) (m : M.t) : Thm.t =
   let tank = ref !fuel in
-  let rec go n thm =
-    if n >= max_passes || !tank <= 0 then thm
+  let seen = Seen.create 64 in
+  (* [acc] proves [Equiv (cur, m)]; [None] while [cur] is [m] itself. *)
+  let apply cur acc thm =
+    let next = abs_of thm in
+    if next == cur then (cur, acc) else (next, Some (then_ ctx thm acc))
+  in
+  let rec go n cur acc =
+    if n >= max_passes || !tank <= 0 then acc
     else begin
-      let before = abs_of thm in
-      let simped = trans ctx (Thm.by ctx (Rules.Rw_simp before) []) thm in
-      let discharged =
-        trans ctx (Thm.by ctx (Rules.Rw_discharge (abs_of simped)) []) simped
+      let before = cur in
+      let cur, acc = apply cur acc (Thm.by ctx (Rules.Rw_simp cur) []) in
+      let cur, acc = apply cur acc (Thm.by ctx (Rules.Rw_discharge cur) []) in
+      let cur, acc =
+        match pass ctx tank seen cur with
+        | Some thm -> (abs_of thm, Some (then_ ctx thm acc))
+        | None -> (cur, acc)
       in
-      let next = trans ctx (pass ctx tank (abs_of discharged)) discharged in
-      if M.equal (abs_of next) before then next else go (n + 1) next
+      if M.equal cur before then acc else go (n + 1) cur acc
     end
   in
-  let out = go 0 (Thm.by ctx (Rules.Eq_refl m) []) in
+  let out = refl_or ctx m (go 0 m None) in
   if !tank <= 0 then Atomic.incr exhaustions;
   out

@@ -21,16 +21,15 @@ let rec is_closed_pure (e : E.t) =
   | E.Binop ((E.Div | E.Rem), _, _) ->
     (* folding division would need the totalised semantics; fold only when
        the divisor is a non-zero literal *)
-    List.for_all is_closed_pure (E.children e)
-  | _ -> List.for_all is_closed_pure (E.children e)
+    E.for_all_children is_closed_pure e
+  | _ -> E.for_all_children is_closed_pure e
 
 let fold_constant lenv (e : E.t) : E.t =
   match e with
   | E.Const _ -> e
   | _ ->
     if is_closed_pure e then begin
-      let module SM = Map.Make (String) in
-      match E.eval_pure lenv SM.empty e with
+      match E.eval_pure lenv E.SMap.empty e with
       (* Tuples and structs stay structural: the abstraction rules match on
          their shape. *)
       | Value.Vtuple _ | Value.Vstruct _ -> e
@@ -39,19 +38,31 @@ let fold_constant lenv (e : E.t) : E.t =
     end
     else e
 
-let rec simp lenv (e : E.t) : E.t =
-  let e = E.map_children (simp lenv) e in
-  let e =
-    match e with
-    | E.Proj (i, E.Tuple es) when i < List.length es -> List.nth es i
-    | E.Binop (E.And, a, b) -> E.and_e a b
-    | E.Binop (E.Or, a, b) -> E.or_e a b
-    | E.Binop (E.Imp, a, b) -> E.imp_e a b
-    | E.Unop (E.Not, x) -> E.not_e x
-    | E.Ite (E.Const (Value.Vbool true), a, _) -> a
-    | E.Ite (E.Const (Value.Vbool false), _, b) -> b
-    | E.Ite (_, a, b) when E.equal a b -> a
-    | E.Binop (E.Eq, a, b) when E.equal a b && not (E.reads_state a) -> E.true_e
-    | e -> e
+(* A smart constructor's result, or [e] itself when the constructor merely
+   rebuilt [e]'s own node from [e]'s own children: [simp] returns its input
+   physically whenever the result is structurally equal to it. *)
+let unless_rebuilt (e : E.t) (r : E.t) : E.t =
+  match (e, r) with
+  | E.Binop (o, a, b), E.Binop (o', a', b') when o = o' && a == a' && b == b' -> e
+  | E.Unop (o, x), E.Unop (o', x') when o = o' && x == x' -> e
+  | _ -> r
+
+let simp lenv (e : E.t) : E.t =
+  let rec go (e : E.t) : E.t =
+    let e = E.map_children go e in
+    let e =
+      match e with
+      | E.Proj (i, E.Tuple es) when i < List.length es -> List.nth es i
+      | E.Binop (E.And, a, b) -> unless_rebuilt e (E.and_e a b)
+      | E.Binop (E.Or, a, b) -> unless_rebuilt e (E.or_e a b)
+      | E.Binop (E.Imp, a, b) -> unless_rebuilt e (E.imp_e a b)
+      | E.Unop (E.Not, x) -> unless_rebuilt e (E.not_e x)
+      | E.Ite (E.Const (Value.Vbool true), a, _) -> a
+      | E.Ite (E.Const (Value.Vbool false), _, b) -> b
+      | E.Ite (_, a, b) when E.equal a b -> a
+      | E.Binop (E.Eq, a, b) when E.equal a b && not (E.reads_state a) -> E.true_e
+      | e -> e
+    in
+    fold_constant lenv e
   in
-  fold_constant lenv e
+  go e

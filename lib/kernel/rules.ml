@@ -6,6 +6,7 @@ module Value = Ac_lang.Value
 module Layout = Ac_lang.Layout
 module M = Ac_monad.M
 module Ir = Ac_simpl.Ir
+module SSet = Set.Make (String)
 open Judgment
 
 (* The kernel's rule base.
@@ -183,6 +184,12 @@ let register_custom_rule name f = Hashtbl.replace custom_rules name f
 let ( let* ) r f = Result.bind r f
 let ok x = Result.ok x
 let fail fmt = Format.kasprintf (fun m -> Result.error m) fmt
+
+(* [fail] for a fixed message.  Side conditions fail far more often than
+   they hold in the rewrite engine's rule search ([Thm.by_opt] discards the
+   message), and formatting even a constant through [Format] costs ~2 KB a
+   call. *)
+let reject (msg : string) = Result.error msg
 
 let rule_name = function
   | L1 _ -> "l1"
@@ -573,32 +580,72 @@ let rec str nothrows (m : M.t) ((p, cont) : M.pat * M.t) : M.t option =
   | M.Return _ | M.Gets _ | M.Modify _ | M.Guard _ | M.Fail | M.Unknown _ ->
     Some (M.Bind (m, p, cont))
 
-(* Map the kernel expression simplifier over every expression of a term. *)
+(* Map the kernel expression simplifier over every expression of a term.
+   Returns [m] itself when nothing changed (and any unchanged subterm
+   itself), so repeated clean-up passes keep untouched code shared. *)
 let rec msimp lenv (m : M.t) : M.t =
   let s e = Esimp.simp lenv e in
   match m with
-  | M.Return e -> M.Return (s e)
-  | M.Gets e -> if E.reads_state (s e) then M.Gets (s e) else M.Return (s e)
-  | M.Guard (k, e) -> M.Guard (k, s e)
-  | M.Fail -> M.Fail
-  | M.Unknown t -> M.Unknown t
-  | M.Throw e -> M.Throw (s e)
+  | M.Return e ->
+    let e' = s e in
+    if e' == e then m else M.Return e'
+  | M.Gets e ->
+    let e' = s e in
+    if not (E.reads_state e') then M.Return e' else if e' == e then m else M.Gets e'
+  | M.Guard (k, e) ->
+    let e' = s e in
+    if e' == e then m else M.Guard (k, e')
+  | M.Fail | M.Unknown _ -> m
+  | M.Throw e ->
+    let e' = s e in
+    if e' == e then m else M.Throw e'
   | M.Modify ms ->
-    M.Modify
-      (List.map
-         (function
-           | M.Heap_write (c, p, v) -> M.Heap_write (c, s p, s v)
-           | M.Typed_write (c, p, v) -> M.Typed_write (c, s p, s v)
-           | M.Global_set (x, e) -> M.Global_set (x, s e)
-           | M.Local_set (x, e) -> M.Local_set (x, s e)
-           | M.Retype (c, e) -> M.Retype (c, s e))
-         ms)
-  | M.Bind (a, p, b) -> M.Bind (msimp lenv a, p, msimp lenv b)
-  | M.Try (a, p, b) -> M.Try (msimp lenv a, p, msimp lenv b)
-  | M.Cond (c, a, b) -> M.Cond (s c, msimp lenv a, msimp lenv b)
-  | M.While (p, c, body, init) -> M.While (p, s c, msimp lenv body, s init)
-  | M.Call (f, args) -> M.Call (f, List.map s args)
-  | M.Exec_concrete (f, args) -> M.Exec_concrete (f, List.map s args)
+    let smod sm =
+      match sm with
+      | M.Heap_write (c, p, v) ->
+        let p' = s p in
+        let v' = s v in
+        if p' == p && v' == v then sm else M.Heap_write (c, p', v')
+      | M.Typed_write (c, p, v) ->
+        let p' = s p in
+        let v' = s v in
+        if p' == p && v' == v then sm else M.Typed_write (c, p', v')
+      | M.Global_set (x, e) ->
+        let e' = s e in
+        if e' == e then sm else M.Global_set (x, e')
+      | M.Local_set (x, e) ->
+        let e' = s e in
+        if e' == e then sm else M.Local_set (x, e')
+      | M.Retype (c, e) ->
+        let e' = s e in
+        if e' == e then sm else M.Retype (c, e')
+    in
+    let ms' = E.map_sharing smod ms in
+    if ms' == ms then m else M.Modify ms'
+  | M.Bind (a, p, b) ->
+    let a' = msimp lenv a in
+    let b' = msimp lenv b in
+    if a' == a && b' == b then m else M.Bind (a', p, b')
+  | M.Try (a, p, b) ->
+    let a' = msimp lenv a in
+    let b' = msimp lenv b in
+    if a' == a && b' == b then m else M.Try (a', p, b')
+  | M.Cond (c, a, b) ->
+    let c' = s c in
+    let a' = msimp lenv a in
+    let b' = msimp lenv b in
+    if c' == c && a' == a && b' == b then m else M.Cond (c', a', b')
+  | M.While (p, c, body, init) ->
+    let c' = s c in
+    let body' = msimp lenv body in
+    let init' = s init in
+    if c' == c && body' == body && init' == init then m else M.While (p, c', body', init')
+  | M.Call (f, args) ->
+    let args' = E.map_sharing s args in
+    if args' == args then m else M.Call (f, args')
+  | M.Exec_concrete (f, args) ->
+    let args' = E.map_sharing s args in
+    if args' == args then m else M.Exec_concrete (f, args')
 
 (* Syntactic implication: [implies_syn c g] holds when [g] is [c] itself, a
    conjunct of [c], or a conjunction of implied parts.  Used by the
@@ -638,19 +685,15 @@ let conjuncts (e : E.t) =
 type fact_kind = Fpure | Fvalidity | Ffragile
 
 let fact_kind (e : E.t) : fact_kind =
-  let rec scan e (seen_valid, seen_other) =
-    let acc =
-      match e with
-      | E.IsValid _ -> (true, seen_other)
-      | E.HeapRead _ | E.TypedRead _ | E.Global _ -> (seen_valid, true)
-      | _ -> (seen_valid, seen_other)
-    in
-    List.fold_left (fun acc c -> scan c acc) acc (E.children e)
+  let rec reads_value (e : E.t) =
+    match e with
+    | E.HeapRead _ | E.TypedRead _ | E.Global _ -> true
+    | _ -> E.exists_child reads_value e
   in
-  match scan e (false, false) with
-  | _, true -> Ffragile
-  | true, false -> Fvalidity
-  | false, false -> Fpure
+  let rec mentions_valid (e : E.t) =
+    match e with E.IsValid _ -> true | _ -> E.exists_child mentions_valid e
+  in
+  if reads_value e then Ffragile else if mentions_valid e then Fvalidity else Fpure
 
 type kills = { k_values : bool; k_retype_or_call : bool }
 
@@ -682,12 +725,13 @@ let fact_survives (k : kills) (f : E.t) =
   | Ffragile -> not (k.k_values || k.k_retype_or_call)
 
 let drop_rebound vars facts =
-  List.filter (fun f -> not (List.exists (fun v -> List.mem v vars) (E.free_vars f))) facts
+  List.filter (fun f -> not (List.exists (fun v -> E.mem_var v f) vars)) facts
 
 let established facts g = List.exists (E.equal g) facts
 
 (* Returns the rewritten term and the facts established after it (on the
-   normal path). *)
+   normal path).  The term is [m] itself when no guard in it changed (and
+   any unchanged subterm itself), like [msimp]. *)
 let rec discharge lenv (facts : E.t list) (m : M.t) : M.t * E.t list =
   match m with
   | M.Guard (k, g) ->
@@ -696,7 +740,10 @@ let rec discharge lenv (facts : E.t list) (m : M.t) : M.t * E.t list =
     let m' =
       match remaining with
       | [] -> M.Return E.unit_e
-      | parts' -> M.Guard (k, E.conj parts')
+      | parts' ->
+        (* re-conjoining may only re-associate: keep [m] when it did not *)
+        let g' = E.conj parts' in
+        if E.equal g' g then m else M.Guard (k, g')
     in
     (m', parts @ facts)
   | M.Return _ | M.Gets _ | M.Throw _ | M.Fail | M.Unknown _ -> (m, facts)
@@ -707,7 +754,7 @@ let rec discharge lenv (facts : E.t list) (m : M.t) : M.t * E.t list =
     let a', facts1 = discharge lenv facts a in
     let facts2 = drop_rebound (List.map fst (M.pat_vars p)) facts1 in
     let b', facts3 = discharge lenv facts2 b in
-    (M.Bind (a', p, b'), facts3)
+    ((if a' == a && b' == b then m else M.Bind (a', p, b')), facts3)
   | M.Try (a, p, h) ->
     let a', facts_a = discharge lenv facts a in
     (* Handler entry: effects of an unknown prefix of [a] have happened. *)
@@ -716,11 +763,13 @@ let rec discharge lenv (facts : E.t list) (m : M.t) : M.t * E.t list =
         (List.filter (fact_survives (term_kills a)) facts)
     in
     let h', facts_h = discharge lenv facts_h_in h in
-    (M.Try (a', p, h'), List.filter (fun f -> List.exists (E.equal f) facts_h) facts_a)
+    ( (if a' == a && h' == h then m else M.Try (a', p, h')),
+      List.filter (fun f -> List.exists (E.equal f) facts_h) facts_a )
   | M.Cond (c, a, b) ->
     let a', facts_a = discharge lenv (conjuncts c @ facts) a in
     let b', facts_b = discharge lenv (E.not_e c :: facts) b in
-    (M.Cond (c, a', b'), List.filter (fun f -> List.exists (E.equal f) facts_b) facts_a)
+    ( (if a' == a && b' == b then m else M.Cond (c, a', b')),
+      List.filter (fun f -> List.exists (E.equal f) facts_b) facts_a )
   | M.While (p, c, body, init) ->
     let k = term_kills body in
     let inner_facts =
@@ -728,16 +777,26 @@ let rec discharge lenv (facts : E.t list) (m : M.t) : M.t * E.t list =
       @ drop_rebound (List.map fst (M.pat_vars p)) (List.filter (fact_survives k) facts)
     in
     let body', _ = discharge lenv inner_facts body in
-    (M.While (p, c, body', init), List.filter (fact_survives k) facts)
+    ( (if body' == body then m else M.While (p, c, body', init)),
+      List.filter (fact_survives k) facts )
   | M.Call _ | M.Exec_concrete _ -> (m, List.filter (fact_survives all_kills) facts)
 
 let discharge_guards lenv (m : M.t) : M.t = fst (discharge lenv [] m)
 
 (* All variable names bound anywhere inside a term (by bind, catch or loop
-   patterns).  Used to reject capturing substitutions. *)
+   patterns).  Used to pick fresh names for alpha conversion. *)
 let binder_names (m : M.t) : string list =
+  let seen = ref SSet.empty in
   let acc = ref [] in
-  let add p = List.iter (fun (x, _) -> if not (List.mem x !acc) then acc := x :: !acc) (M.pat_vars p) in
+  let add p =
+    List.iter
+      (fun (x, _) ->
+        if not (SSet.mem x !seen) then begin
+          seen := SSet.add x !seen;
+          acc := x :: !acc
+        end)
+      (M.pat_vars p)
+  in
   let rec go m =
     match m with
     | M.Bind (a, p, b) | M.Try (a, p, b) ->
@@ -758,10 +817,23 @@ let binder_names (m : M.t) : string list =
   !acc
 
 (* Substituting [e] for pattern variables inside [b] is capture-free when no
-   binder in [b] reuses a free variable of [e]. *)
+   binder in [b] reuses a free variable of [e].  Walks [b]'s binders once and
+   stops at the first capture. *)
 let capture_free (e : E.t) (b : M.t) =
-  let binders = binder_names b in
-  not (List.exists (fun v -> List.mem v binders) (E.free_vars e))
+  match E.free_vars e with
+  | [] -> true
+  | fv ->
+    let captures p = List.exists (fun x -> M.pat_binds x p) fv in
+    let rec go m =
+      match m with
+      | M.Bind (a, p, b) | M.Try (a, p, b) -> captures p || go a || go b
+      | M.Cond (_, a, b) -> go a || go b
+      | M.While (p, _, body, _) -> captures p || go body
+      | M.Return _ | M.Gets _ | M.Modify _ | M.Guard _ | M.Fail | M.Throw _ | M.Unknown _
+      | M.Call _ | M.Exec_concrete _ ->
+        false
+    in
+    not (go b)
 
 (* Alpha-rename every binder of [m] whose name is in [avoid] to a fresh name
    (alpha conversion: semantics-preserving by construction). *)
@@ -882,7 +954,7 @@ let rec infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, str
     let* prems = prems_n 2 prems in
     let* a, b1 = as_equiv (List.nth prems 0) in
     let* b2, c = as_equiv (List.nth prems 1) in
-    if M.equal b1 b2 then ok (Equiv (a, c)) else fail "eq_trans: middle terms differ"
+    if M.equal b1 b2 then ok (Equiv (a, c)) else reject "eq_trans: middle terms differ"
   | Eq_bind p ->
     let* prems = prems_n 2 prems in
     let* a1, c1 = as_equiv (List.nth prems 0) in
@@ -908,38 +980,36 @@ let rec infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, str
     let b' = if capture_free e b then b else alpha_avoid (E.free_vars e) b in
     (match bind_expr_to_pat p e with
     | Some bs -> ok (Equiv (M.subst bs b', M.Bind (M.Return e, p, b)))
-    | None -> fail "rw_return_bind: pattern does not destructure expression")
-  | Rw_return_bind _ -> fail "rw_return_bind: not a return"
+    | None -> reject "rw_return_bind: pattern does not destructure expression")
+  | Rw_return_bind _ -> reject "rw_return_bind: not a return"
   | Rw_gets_bind (M.Gets e, p, b) ->
-    if E.reads_state e then fail "rw_gets_bind: expression reads state"
+    if E.reads_state e then reject "rw_gets_bind: expression reads state"
     else begin
       let b' = if capture_free e b then b else alpha_avoid (E.free_vars e) b in
       match bind_expr_to_pat p e with
       | Some bs -> ok (Equiv (M.subst bs b', M.Bind (M.Gets e, p, b)))
-      | None -> fail "rw_gets_bind: pattern mismatch"
+      | None -> reject "rw_gets_bind: pattern mismatch"
     end
-  | Rw_gets_bind _ -> fail "rw_gets_bind: not a gets"
+  | Rw_gets_bind _ -> reject "rw_gets_bind: not a gets"
   | Rw_bind_return (a, M.Pvar (x, t)) ->
     ok (Equiv (a, M.Bind (a, M.Pvar (x, t), M.Return (E.Var (x, t)))))
   | Rw_bind_return (a, (M.Ptuple _ as p)) ->
     ok (Equiv (a, M.Bind (a, p, M.Return (M.pat_expr p))))
-  | Rw_bind_return (_, M.Pwild) -> fail "rw_bind_return: wildcard"
+  | Rw_bind_return (_, M.Pwild) -> reject "rw_bind_return: wildcard"
   | Rw_bind_assoc (a, p, b, q, c) ->
     (* (do v <- (do w <- A; B od); C od) = do w <- A; v <- B; C od,
        provided w's variables do not occur free in C *)
-    let pvars = List.map fst (M.pat_vars p) in
-    let cfree = M.free_vars c in
-    if List.exists (fun v -> List.mem v cfree) pvars then
-      fail "rw_bind_assoc: variable capture"
+    if List.exists (fun (v, _) -> M.occurs_free v c) (M.pat_vars p) then
+      reject "rw_bind_assoc: variable capture"
     else ok (Equiv (M.Bind (a, p, M.Bind (b, q, c)), M.Bind (M.Bind (a, p, b), q, c)))
   | Rw_gets_pure e ->
-    if E.reads_state e then fail "rw_gets_pure: reads state"
+    if E.reads_state e then reject "rw_gets_pure: reads state"
     else ok (Equiv (M.Return e, M.Gets e))
   | Rw_guard_true k -> ok (Equiv (M.Return E.unit_e, M.Guard (k, E.true_e)))
   | Rw_cond_true (a, b) -> ok (Equiv (a, M.Cond (E.true_e, a, b)))
   | Rw_cond_false (a, b) -> ok (Equiv (b, M.Cond (E.false_e, a, b)))
   | Rw_cond_same (c, a) ->
-    if E.reads_state c then fail "rw_cond_same: effectful condition"
+    if E.reads_state c then reject "rw_cond_same: effectful condition"
     else ok (Equiv (a, M.Cond (c, a, a)))
   | Rw_try_nothrow (a, p, h) ->
     if nothrow_in ctx.nothrows a then ok (Equiv (a, M.Try (a, p, h)))
@@ -951,13 +1021,13 @@ let rec infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, str
         when List.length codes <= 1
              && List.for_all (fun k -> E.equal c (Ir.exn_is k)) codes ->
         ok (Equiv (M.Try (a, p, h1), M.Try (a, p, h)))
-      | _ -> fail "rw_try_nothrow: body may throw"
+      | _ -> reject "rw_try_nothrow: body may throw"
     end
   | Rw_seq_unit a -> (
     match a with
     | M.Modify _ | M.Guard _ ->
       ok (Equiv (a, M.Bind (a, M.Pwild, M.Return E.unit_e)))
-    | _ -> fail "rw_seq_unit: not a unit-valued statement")
+    | _ -> reject "rw_seq_unit: not a unit-valued statement")
   | Rw_lift (params, locals, ret_ty, body) -> (
     match Lift.lift_body ctx.lenv ~params ~locals ~ret_ty body with
     | lifted -> ok (Equiv (lifted, body))
@@ -971,8 +1041,8 @@ let rec infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, str
       let res = "fn_result'" in
       match str ctx.nothrows body (M.Pvar (res, ret_ty), M.Return (E.Var (res, ret_ty))) with
       | Some body' when nothrow_in ctx.nothrows body' -> ok (Equiv (body', m))
-      | _ -> fail "rw_elim_returns: body not convertible")
-    | _ -> fail "rw_elim_returns: not a return-wrapper")
+      | _ -> reject "rw_elim_returns: body not convertible")
+    | _ -> reject "rw_elim_returns: not a return-wrapper")
   | Rw_dead_after_throw (e, p, b) ->
     ok (Equiv (M.Throw e, M.Bind (M.Throw e, p, b)))
   | Rw_dead_after_fail (p, b) -> ok (Equiv (M.Fail, M.Bind (M.Fail, p, b)))
@@ -986,7 +1056,7 @@ let rec infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, str
       let fused = E.Ite (c, ex, ey) in
       let m' = if E.reads_state fused then M.Gets fused else M.Return fused in
       ok (Equiv (m', M.Cond (c, x, y)))
-    | _ -> fail "rw_cond_return: branches are not value computations")
+    | _ -> reject "rw_cond_return: branches are not value computations")
   | Rw_discharge m -> ok (Equiv (discharge_guards ctx.lenv m, m))
   | Rule_guard_true (m, cert) -> (
     match Absdom.discharge ctx.lenv ctx.fbodies cert m with
@@ -1004,45 +1074,41 @@ let rec infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, str
         | M.Ptuple _ -> None (* nested: conservatively refuse *)
       in
       match (flat (List.nth ips i), flat (List.nth qps i)) with
-      | None, _ | _, None -> fail "rw_prune_loop: nested component pattern"
+      | None, _ | _, None -> reject "rw_prune_loop: nested component pattern"
       | Some n1, Some n2 ->
       let dead_names = n1 @ n2 in
       match drop_tail_component i body with
-      | None -> fail "rw_prune_loop: body result is not a literal tuple"
+      | None -> reject "rw_prune_loop: body result is not a literal tuple"
       | Some body' ->
-        let ips' = drop_i i ips and inits' = drop_i i inits and qps' = drop_i i qps in
-        let new_loop =
-          M.While (pat_or_single ips', cond, body', tuple_or_single inits')
-        in
-        let new_term = M.Bind (new_loop, pat_or_single qps', k) in
         (* the dropped component must be genuinely dead *)
-        let mentions m =
-          List.exists (fun x -> List.mem x (M.free_vars m)) dead_names
-        in
-        let cond_reads =
-          List.exists (fun x -> List.mem x (E.free_vars cond)) dead_names
-        in
-        if cond_reads then fail "rw_prune_loop: condition reads the component"
-        else if mentions body' then fail "rw_prune_loop: body reads the component"
-        else if mentions k then fail "rw_prune_loop: continuation reads the component"
-        else
+        let mentions m = List.exists (fun x -> M.occurs_free x m) dead_names in
+        let cond_reads = List.exists (fun x -> E.mem_var x cond) dead_names in
+        if cond_reads then reject "rw_prune_loop: condition reads the component"
+        else if mentions body' then reject "rw_prune_loop: body reads the component"
+        else if mentions k then reject "rw_prune_loop: continuation reads the component"
+        else begin
+          let ips' = drop_i i ips and inits' = drop_i i inits and qps' = drop_i i qps in
+          let new_loop =
+            M.While (pat_or_single ips', cond, body', tuple_or_single inits')
+          in
           ok
             (Equiv
-               ( new_term,
-                 M.Bind (M.While (ip, cond, body, init), qp, k) )))
-    | _ -> fail "rw_prune_loop: not a tuple-iterator loop")
+               ( M.Bind (new_loop, pat_or_single qps', k),
+                 M.Bind (M.While (ip, cond, body, init), qp, k) ))
+        end)
+    | _ -> reject "rw_prune_loop: not a tuple-iterator loop")
   | Rw_hoist_guard (a, p, k, g, b) -> (
     match a with
     | M.Return _ | M.Gets _ ->
       let bound = List.map fst (M.pat_vars p) in
-      if List.exists (fun v -> List.mem v bound) (E.free_vars g) then
-        fail "rw_hoist_guard: guard uses the bound variable"
+      if List.exists (fun v -> E.mem_var v g) bound then
+        reject "rw_hoist_guard: guard uses the bound variable"
       else
         ok
           (Equiv
              ( M.Bind (M.Guard (k, g), M.Pwild, M.Bind (a, p, b)),
                M.Bind (a, p, M.Bind (M.Guard (k, g), M.Pwild, b)) ))
-    | _ -> fail "rw_hoist_guard: prefix is not state-neutral")
+    | _ -> reject "rw_hoist_guard: prefix is not state-neutral")
   | Rw_guard_past_write (sms, k, g, b) ->
     let writes_ok =
       List.for_all
@@ -1058,13 +1124,13 @@ let rec infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, str
     in
     (* Validity predicates depend only on the tag map, which value writes
        never change; value reads in the guard would not commute. *)
-    if not writes_ok then fail "rw_guard_past_write: retype or local write"
-    else if not (validity_only g) then fail "rw_guard_past_write: guard reads heap values"
+    if not writes_ok then reject "rw_guard_past_write: retype or local write"
+    else if not (validity_only g) then reject "rw_guard_past_write: guard reads heap values"
     else begin
       let uses_globals =
         List.exists (function M.Global_set _ -> true | _ -> false) sms
       in
-      if uses_globals then fail "rw_guard_past_write: global write"
+      if uses_globals then reject "rw_guard_past_write: global write"
       else
         ok
           (Equiv
@@ -1077,20 +1143,20 @@ let rec infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, str
         (Equiv
            ( M.Bind (M.Guard (k1, g1), M.Pwild, b),
              M.Bind (M.Guard (k1, g1), M.Pwild, M.Bind (M.Guard (k2, g2), M.Pwild, b)) ))
-    else fail "rw_dup_guard: no syntactic implication"
+    else reject "rw_dup_guard: no syntactic implication"
   | Rw_discharge_cond_guard (c, thenb, elseb) -> (
     match thenb with
     | M.Bind (M.Guard (_, g), M.Pwild, a) when implies_syn c g ->
       ok (Equiv (M.Cond (c, a, elseb), M.Cond (c, thenb, elseb)))
-    | _ -> fail "rw_discharge_cond_guard: no implication")
+    | _ -> reject "rw_discharge_cond_guard: no implication")
   | Rw_discharge_loop_guard (p, c, body, init) -> (
     match body with
     | M.Bind (M.Guard (_, g), M.Pwild, rest) when implies_syn c g ->
       ok (Equiv (M.While (p, c, rest, init), M.While (p, c, body, init)))
-    | _ -> fail "rw_discharge_loop_guard: no implication")
+    | _ -> reject "rw_discharge_loop_guard: no implication")
   (* ================= Word abstraction: values ================= *)
   | W_triv (f, c) ->
-    if mentions_wvar ctx c then fail "w_triv: mentions abstracted variables"
+    if mentions_wvar ctx c then reject "w_triv: mentions abstracted variables"
     else ok (Abs_w_val (E.true_e, f, conv_expr f c, c))
   | W_var x -> (
     match List.assoc_opt x ctx.wvars with
@@ -1111,7 +1177,7 @@ let rec infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, str
     in
     ok (Abs_w_val (E.true_e, conv_of_sign s w, ideal, E.Const (Value.vword s word)))
   | W_id e ->
-    if mentions_wvar ctx e then fail "w_id: mentions abstracted variables"
+    if mentions_wvar ctx e then reject "w_id: mentions abstracted variables"
     else ok (Abs_w_val (E.true_e, Cid, e, e))
   | W_binop (op, sign, w) -> infer_w_binop ctx op sign w prems
   | W_neg (sign, w) -> (
@@ -1121,22 +1187,22 @@ let rec infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, str
     | Ty.Signed, Csint w' when w = w' ->
       let e = E.Unop (E.Neg, a) in
       ok (Abs_w_val (E.and_e p (in_srange_e w e), Csint w, e, E.Unop (E.Neg, c)))
-    | Ty.Unsigned, _ -> fail "w_neg: unsigned negation is not abstracted (wraps)"
-    | _ -> fail "w_neg: premise conv mismatch")
+    | Ty.Unsigned, _ -> reject "w_neg: unsigned negation is not abstracted (wraps)"
+    | _ -> reject "w_neg: premise conv mismatch")
   | W_recon (sign, w) ->
     let* prems = prems_n 1 prems in
     let* p, f, a, c = as_wval (List.hd prems) in
     let expected = conv_of_sign sign w in
     if conv_equal f expected then
       ok (Abs_w_val (p, Cid, E.Cast (Ty.Tword (sign, w), a), c))
-    else fail "w_recon: conv mismatch"
+    else reject "w_recon: conv mismatch"
   | W_ite ->
     let* prems = prems_n 3 prems in
     let* pc, fc, ac, cc = as_wval (List.nth prems 0) in
     let* pa, fa, aa, ca = as_wval (List.nth prems 1) in
     let* pb, fb, ab, cb = as_wval (List.nth prems 2) in
-    if not (conv_equal fc Cid) then fail "w_ite: condition must abstract to itself"
-    else if not (conv_equal fa fb) then fail "w_ite: branch convs differ"
+    if not (conv_equal fc Cid) then reject "w_ite: condition must abstract to itself"
+    else if not (conv_equal fa fb) then reject "w_ite: branch convs differ"
     else
       ok
         (Abs_w_val
@@ -1164,18 +1230,18 @@ let rec infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, str
   | W_node skel -> (
     match skel with
     | E.Var (x, _) when List.mem_assoc x ctx.wvars ->
-      fail "w_node: abstracted variable needs w_var"
+      reject "w_node: abstracted variable needs w_var"
     | _ ->
       let children = E.children skel in
-      if List.length prems <> List.length children then fail "w_node: premise count"
+      if List.length prems <> List.length children then reject "w_node: premise count"
       else begin
         let* pairs =
           List.fold_left2
             (fun acc j c ->
               let* acc = acc in
               let* p, f, a, c' = as_wval j in
-              if not (conv_equal f Cid) then fail "w_node: children must be Cid"
-              else if not (E.equal c c') then fail "w_node: child mismatch"
+              if not (conv_equal f Cid) then reject "w_node: children must be Cid"
+              else if not (E.equal c c') then reject "w_node: child mismatch"
               else ok ((p, a) :: acc))
             (ok []) prems children
         in
@@ -1190,18 +1256,18 @@ let rec infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, str
       let* pa, fa, aa, ca = as_wval (List.nth prems 0) in
       let* pb, fb, ab, cb = as_wval (List.nth prems 1) in
       if not (conv_equal fa Cid && conv_equal fb Cid) then
-        fail "w_shortcircuit: operands must be Cid"
+        reject "w_shortcircuit: operands must be Cid"
       else begin
         let gate = match op with E.And -> aa | _ -> E.not_e aa in
         ok
           (Abs_w_val
              (E.and_e pa (E.imp_e gate pb), Cid, E.Binop (op, aa, ab), E.Binop (op, ca, cb)))
       end
-    | _ -> fail "w_shortcircuit: not a boolean connective")
+    | _ -> reject "w_shortcircuit: not a boolean connective")
   | W_unconv (sign, w) ->
     let* prems = prems_n 1 prems in
     let* p, f, a, c = as_wval (List.hd prems) in
-    if not (conv_equal f (conv_of_sign sign w)) then fail "w_unconv: conv mismatch"
+    if not (conv_equal f (conv_of_sign sign w)) then reject "w_unconv: conv mismatch"
     else begin
       let ideal = Ty.ideal_of_word_sign sign in
       ok (Abs_w_val (p, Cid, a, E.OfWord (ideal, c)))
@@ -1209,7 +1275,7 @@ let rec infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, str
   | W_abs_any (sign, w) ->
     let* prems = prems_n 1 prems in
     let* p, f, a, c = as_wval (List.hd prems) in
-    if not (conv_equal f Cid) then fail "w_abs_any: premise must be Cid"
+    if not (conv_equal f Cid) then reject "w_abs_any: premise must be Cid"
     else begin
       let ideal = Ty.ideal_of_word_sign sign in
       ok (Abs_w_val (p, conv_of_sign sign w, E.OfWord (ideal, a), c))
@@ -1235,7 +1301,7 @@ let rec infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, str
   | Ws_guard k ->
     let* prems = prems_n 1 prems in
     let* p, f, a, c = as_wval (List.hd prems) in
-    if not (conv_equal f Cid) then fail "ws_guard: condition must abstract to itself"
+    if not (conv_equal f Cid) then reject "ws_guard: condition must abstract to itself"
     else
       (* The abstract guard also assumes the precondition: failing more
          often than the concrete program is sound for abs_w_stmt. *)
@@ -1244,7 +1310,7 @@ let rec infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, str
     let rec consume prems sms acc_p acc =
       match sms with
       | [] ->
-        if prems = [] then ok (acc_p, List.rev acc) else fail "ws_modify: surplus premises"
+        if prems = [] then ok (acc_p, List.rev acc) else reject "ws_modify: surplus premises"
       | sm :: rest -> (
         match sm with
         | M.Heap_write (cty, cp, cv) | M.Typed_write (cty, cp, cv) -> (
@@ -1253,9 +1319,9 @@ let rec infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, str
             let* p1, f1, a1, c1 = as_wval j1 in
             let* p2, f2, a2, c2 = as_wval j2 in
             if not (conv_equal f1 Cid && conv_equal f2 Cid) then
-              fail "ws_modify: operands must be re-concretised"
+              reject "ws_modify: operands must be re-concretised"
             else if not (E.equal c1 cp && E.equal c2 cv) then
-              fail "ws_modify: premise/skeleton mismatch"
+              reject "ws_modify: premise/skeleton mismatch"
             else begin
               let mk p v =
                 match sm with
@@ -1264,27 +1330,27 @@ let rec infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, str
               in
               consume prems' rest (E.and_e acc_p (E.and_e p1 p2)) (mk a1 a2 :: acc)
             end
-          | _ -> fail "ws_modify: missing premises")
+          | _ -> reject "ws_modify: missing premises")
         | M.Global_set (x, ce) | M.Local_set (x, ce) -> (
           match prems with
           | j1 :: prems' ->
             let* p1, f1, a1, c1 = as_wval j1 in
-            if not (conv_equal f1 Cid) then fail "ws_modify: value must be re-concretised"
-            else if not (E.equal c1 ce) then fail "ws_modify: premise/skeleton mismatch"
+            if not (conv_equal f1 Cid) then reject "ws_modify: value must be re-concretised"
+            else if not (E.equal c1 ce) then reject "ws_modify: premise/skeleton mismatch"
             else begin
               let mk e =
                 match sm with M.Global_set _ -> M.Global_set (x, e) | _ -> M.Local_set (x, e)
               in
               consume prems' rest (E.and_e acc_p p1) (mk a1 :: acc)
             end
-          | _ -> fail "ws_modify: missing premises")
+          | _ -> reject "ws_modify: missing premises")
         | M.Retype (cty, ce) -> (
           match prems with
           | j1 :: prems' ->
             let* p1, f1, a1, c1 = as_wval j1 in
-            if not (conv_equal f1 Cid && E.equal c1 ce) then fail "ws_modify: retype mismatch"
+            if not (conv_equal f1 Cid && E.equal c1 ce) then reject "ws_modify: retype mismatch"
             else consume prems' rest (E.and_e acc_p p1) (M.Retype (cty, a1) :: acc)
-          | _ -> fail "ws_modify: missing premises"))
+          | _ -> reject "ws_modify: missing premises"))
     in
     let* p, abs_sms = consume prems sms E.true_e [] in
     ok (Abs_w_stmt (p, Cid, Cid, M.Modify abs_sms, M.Modify sms))
@@ -1301,13 +1367,13 @@ let rec infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, str
     let* pl, rx1, exl, la, lc = as_wstmt (List.nth prems 0) in
     let* pr, rx2, exr, ra, rc = as_wstmt (List.nth prems 1) in
     if not (E.equal pl E.true_e && E.equal pr E.true_e) then
-      fail "ws_bind: premises must be guard-wrapped first"
+      reject "ws_bind: premises must be guard-wrapped first"
     else begin
       match merge_ex ctx.nothrows exl la exr ra with
       | Result.Error m -> fail "ws_bind: %s" m
       | Result.Ok ex ->
         if not (conv_equal rx1 (pat_conv ctx cpat)) then
-          fail "ws_bind: left conv does not match the bound pattern"
+          reject "ws_bind: left conv does not match the bound pattern"
         else
           ok
             (Abs_w_stmt
@@ -1318,10 +1384,10 @@ let rec infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, str
     let* pl, rx1, exl, la, lc = as_wstmt (List.nth prems 0) in
     let* pr, rx2, exr, ra, rc = as_wstmt (List.nth prems 1) in
     if not (E.equal pl E.true_e && E.equal pr E.true_e) then
-      fail "ws_try: premises must be guard-wrapped first"
+      reject "ws_try: premises must be guard-wrapped first"
     else if not (conv_equal exl (pat_conv ctx cpat)) then
-      fail "ws_try: body exception conv does not match the handler pattern"
-    else if not (conv_equal rx1 rx2) then fail "ws_try: result convs differ"
+      reject "ws_try: body exception conv does not match the handler pattern"
+    else if not (conv_equal rx1 rx2) then reject "ws_try: result convs differ"
     else
       ok
         (Abs_w_stmt
@@ -1331,10 +1397,10 @@ let rec infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, str
     let* pc, fc, ac, cc = as_wval (List.nth prems 0) in
     let* pa, rxa, exa, aa, ca = as_wstmt (List.nth prems 1) in
     let* pb, rxb, exb, ab, cb = as_wstmt (List.nth prems 2) in
-    if not (conv_equal fc Cid) then fail "ws_cond: condition must abstract to itself"
+    if not (conv_equal fc Cid) then reject "ws_cond: condition must abstract to itself"
     else if not (E.equal pa E.true_e && E.equal pb E.true_e) then
-      fail "ws_cond: branches must be guard-wrapped first"
-    else if not (conv_equal rxa rxb) then fail "ws_cond: branch result convs differ"
+      reject "ws_cond: branches must be guard-wrapped first"
+    else if not (conv_equal rxa rxb) then reject "ws_cond: branch result convs differ"
     else begin
       match merge_ex ctx.nothrows exa aa exb ab with
       | Result.Error m -> fail "ws_cond: %s" m
@@ -1346,11 +1412,11 @@ let rec infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, str
     let* pc, fc, ac, cc = as_wval (List.nth prems 1) in
     let* pb, rxb, exb, ab, cb = as_wstmt (List.nth prems 2) in
     let iconv = pat_conv ctx cpat in
-    if not (conv_equal fi iconv) then fail "ws_while: init conv mismatch"
-    else if not (conv_equal fc Cid) then fail "ws_while: condition must abstract to itself"
-    else if not (E.equal pc E.true_e) then fail "ws_while: condition precondition must be trivial"
-    else if not (E.equal pb E.true_e) then fail "ws_while: body must be guard-wrapped first"
-    else if not (conv_equal rxb iconv) then fail "ws_while: body conv mismatch"
+    if not (conv_equal fi iconv) then reject "ws_while: init conv mismatch"
+    else if not (conv_equal fc Cid) then reject "ws_while: condition must abstract to itself"
+    else if not (E.equal pc E.true_e) then reject "ws_while: condition precondition must be trivial"
+    else if not (E.equal pb E.true_e) then reject "ws_while: body must be guard-wrapped first"
+    else if not (conv_equal rxb iconv) then reject "ws_while: body conv mismatch"
     else
       ok
         (Abs_w_stmt
@@ -1363,14 +1429,14 @@ let rec infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, str
     match List.assoc_opt fname ctx.fsigs with
     | None -> fail "ws_call: no signature for %s" fname
     | Some (param_convs, ret_conv) ->
-      if List.length prems <> List.length param_convs then fail "ws_call: arity mismatch"
+      if List.length prems <> List.length param_convs then reject "ws_call: arity mismatch"
       else begin
         let* args =
           List.fold_left2
             (fun acc j expected ->
               let* acc = acc in
               let* p, f, a, c = as_wval j in
-              if not (conv_equal f expected) then fail "ws_call: argument conv mismatch"
+              if not (conv_equal f expected) then reject "ws_call: argument conv mismatch"
               else ok ((p, a, c) :: acc))
             (ok []) prems param_convs
         in
@@ -1390,7 +1456,7 @@ let rec infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, str
         (fun acc j ->
           let* acc = acc in
           let* p, f, a, c = as_wval j in
-          if not (conv_equal f Cid) then fail "ws_exec_concrete: args must be concrete"
+          if not (conv_equal f Cid) then reject "ws_exec_concrete: args must be concrete"
           else ok ((p, a, c) :: acc))
         (ok []) prems
     in
@@ -1409,7 +1475,7 @@ let rec infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, str
     ok (Abs_w_stmt (E.true_e, rx, ex, guard_if Ir.Unsigned_overflow p a, c))
   (* ================= Heap abstraction ================= *)
   | Hv_id e ->
-    if E.reads_concrete_heap e then fail "hv_id: reads the byte heap"
+    if E.reads_concrete_heap e then reject "hv_id: reads the byte heap"
     else ok (Abs_h_val (E.true_e, e, e))
   | Hv_read cty ->
     let* prems = prems_n 1 prems in
@@ -1427,21 +1493,21 @@ let rec infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, str
            ( E.and_e p (E.IsValid (Ty.Cstruct sname, a)),
              E.StructGet (sname, fname, E.TypedRead (Ty.Cstruct sname, a)),
              E.HeapRead (fty, E.FieldAddr (sname, fname, c)) ))
-    | exception Layout.Unknown_field _ -> fail "hv_read_field: unknown field")
+    | exception Layout.Unknown_field _ -> reject "hv_read_field: unknown field")
   | Hv_node skel -> (
     (* Congruence: rebuild a non-heap node from abstracted children. *)
     match skel with
-    | E.HeapRead _ -> fail "hv_node: byte-heap reads need hv_read"
+    | E.HeapRead _ -> reject "hv_node: byte-heap reads need hv_read"
     | _ ->
       let children = E.children skel in
-      if List.length prems <> List.length children then fail "hv_node: premise count"
+      if List.length prems <> List.length children then reject "hv_node: premise count"
       else begin
         let* triples =
           List.fold_left2
             (fun acc j c ->
               let* acc = acc in
               let* p, a, c' = as_hval j in
-              if not (E.equal c c') then fail "hv_node: child mismatch" else ok ((p, a) :: acc))
+              if not (E.equal c c') then reject "hv_node: child mismatch" else ok ((p, a) :: acc))
             (ok []) prems children
         in
         let triples = List.rev triples in
@@ -1459,7 +1525,7 @@ let rec infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, str
       ok
         (Abs_h_val
            (E.and_e pa (E.imp_e gate pb), E.Binop (op, aa, ab), E.Binop (op, ca, cb)))
-    | _ -> fail "hv_shortcircuit: not a boolean connective")
+    | _ -> reject "hv_shortcircuit: not a boolean connective")
   | Hv_ite ->
     let* prems = prems_n 3 prems in
     let* pc, ac, cc = as_hval (List.nth prems 0) in
@@ -1488,7 +1554,7 @@ let rec infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, str
       | M.Return _ | M.Gets _ | M.Guard _ | M.Fail | M.Throw _ | M.Unknown _ -> true
     in
     if !ok_m && no_heap_write m then ok (Abs_h_stmt (m, m))
-    else fail "hs_pure: term touches the byte heap"
+    else reject "hs_pure: term touches the byte heap"
   | Hs_ret ->
     let* prems = prems_n 1 prems in
     let* p, a, c = as_hval (List.hd prems) in
@@ -1519,7 +1585,7 @@ let rec infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, str
       | _ -> e
     in
     if not (E.equal (strengthen_positive (weaken c)) c) then
-      fail "hs_guard_strengthen: premise does not round-trip"
+      reject "hs_guard_strengthen: premise does not round-trip"
     else ok (Abs_h_stmt (M.Guard (k, E.and_e p a), M.Guard (k, weaken c)))
   | Hs_guard k ->
     let* prems = prems_n 1 prems in
@@ -1549,7 +1615,7 @@ let rec infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, str
                   [ M.Typed_write
                       (sc, a1, E.StructSet (sname, fname, E.TypedRead (sc, a1), a2)) ]),
              M.Modify [ M.Heap_write (fty, E.FieldAddr (sname, fname, c1), c2) ] ))
-    | exception Layout.Unknown_field _ -> fail "hs_write_field: unknown field")
+    | exception Layout.Unknown_field _ -> reject "hs_write_field: unknown field")
   | Hs_modify sms -> (
     (* Non-heap modifies (globals, local sets at L1). *)
     match
@@ -1557,23 +1623,23 @@ let rec infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, str
         (function M.Global_set _ | M.Local_set _ -> true | _ -> false)
         sms
     with
-    | false -> fail "hs_modify: heap writes need hs_write"
+    | false -> reject "hs_modify: heap writes need hs_write"
     | true ->
       let rec consume prems sms acc_p acc =
         match sms with
-        | [] -> if prems = [] then ok (acc_p, List.rev acc) else fail "hs_modify: surplus"
+        | [] -> if prems = [] then ok (acc_p, List.rev acc) else reject "hs_modify: surplus"
         | sm :: rest -> (
           match (sm, prems) with
           | (M.Global_set (x, ce) | M.Local_set (x, ce)), j :: prems' ->
             let* p, a, c = as_hval j in
-            if not (E.equal c ce) then fail "hs_modify: mismatch"
+            if not (E.equal c ce) then reject "hs_modify: mismatch"
             else begin
               let mk e =
                 match sm with M.Global_set _ -> M.Global_set (x, e) | _ -> M.Local_set (x, e)
               in
               consume prems' rest (E.and_e acc_p p) (mk a :: acc)
             end
-          | _ -> fail "hs_modify: missing premise")
+          | _ -> reject "hs_modify: missing premise")
       in
       let* p, abs_sms = consume prems sms E.true_e [] in
       ok (Abs_h_stmt (guard_if Ir.Ptr_valid p (M.Modify abs_sms), M.Modify sms)))
@@ -1676,7 +1742,7 @@ let rec infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, str
     (* corres_l1 C m1, m1 == m2 (possibly several), abs_h m3 m2,
        abs_w m4 m3 ... the conclusion names the end points. *)
     match prems with
-    | [] -> fail "fn_chain: no premises"
+    | [] -> reject "fn_chain: no premises"
     | first :: rest ->
       let* src, cur =
         match first with
@@ -1684,7 +1750,7 @@ let rec infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, str
         | Equiv (a, c) -> ok (c, a)
         | Abs_h_stmt (a, c) -> ok (c, a)
         | Abs_w_stmt (p, _, _, a, c) ->
-          if E.equal p E.true_e then ok (c, a) else fail "fn_chain: open precondition"
+          if E.equal p E.true_e then ok (c, a) else reject "fn_chain: open precondition"
         | j -> fail "fn_chain: bad first premise %a" pp_judgment j
       in
       let* final =
@@ -1695,8 +1761,8 @@ let rec infer (ctx : ctx) (rule : rule) (prems : judgment list) : (judgment, str
             | Equiv (a, c) when M.equal c cur -> ok a
             | Abs_h_stmt (a, c) when M.equal c cur -> ok a
             | Abs_w_stmt (p, _, _, a, c) when M.equal c cur ->
-              if E.equal p E.true_e then ok a else fail "fn_chain: open precondition"
-            | _ -> fail "fn_chain: break in the chain"
+              if E.equal p E.true_e then ok a else reject "fn_chain: open precondition"
+            | _ -> reject "fn_chain: break in the chain"
           )
           (ok cur) rest
       in
@@ -1740,7 +1806,7 @@ and infer_l1 ctx (stmt : Ir.stmt) (prems : judgment list) : (judgment, string) r
     let* sa, ma = as_corres (List.nth prems 0) in
     let* sb, mb = as_corres (List.nth prems 1) in
     if sa = a && sb = b then ok (Corres_l1 (stmt, M.Bind (ma, M.Pwild, mb)))
-    else fail "l1 seq: premise mismatch"
+    else reject "l1 seq: premise mismatch"
   | Ir.Local_set (x, e) -> ok (Corres_l1 (stmt, M.Modify [ M.Local_set (x, e) ]))
   | Ir.Global_set (x, e) -> ok (Corres_l1 (stmt, M.Modify [ M.Global_set (x, e) ]))
   | Ir.Heap_write (c, p, v) -> ok (Corres_l1 (stmt, M.Modify [ M.Heap_write (c, p, v) ]))
@@ -1750,12 +1816,12 @@ and infer_l1 ctx (stmt : Ir.stmt) (prems : judgment list) : (judgment, string) r
     let* sa, ma = as_corres (List.nth prems 0) in
     let* sb, mb = as_corres (List.nth prems 1) in
     if sa = a && sb = b then ok (Corres_l1 (stmt, M.Cond (c, ma, mb)))
-    else fail "l1 cond: premise mismatch"
+    else reject "l1 cond: premise mismatch"
   | Ir.While (c, body) ->
     let* prems = prems_n 1 prems in
     let* sb, mb = as_corres (List.hd prems) in
     if sb = body then ok (Corres_l1 (stmt, M.While (M.Pwild, c, mb, E.unit_e)))
-    else fail "l1 while: premise mismatch"
+    else reject "l1 while: premise mismatch"
   | Ir.Guard (k, e) -> ok (Corres_l1 (stmt, M.Guard (k, e)))
   | Ir.Throw -> ok (Corres_l1 (stmt, M.Throw E.unit_e))
   | Ir.Try (a, b) ->
@@ -1763,7 +1829,7 @@ and infer_l1 ctx (stmt : Ir.stmt) (prems : judgment list) : (judgment, string) r
     let* sa, ma = as_corres (List.nth prems 0) in
     let* sb, mb = as_corres (List.nth prems 1) in
     if sa = a && sb = b then ok (Corres_l1 (stmt, M.Try (ma, M.Pwild, mb)))
-    else fail "l1 try: premise mismatch"
+    else reject "l1 try: premise mismatch"
   | Ir.Call (None, f, args) ->
     ok (Corres_l1 (stmt, M.Bind (M.Call (f, args), M.Pwild, M.Return E.unit_e)))
   | Ir.Call (Some d, f, args) ->
@@ -1787,7 +1853,7 @@ and infer_w_binop ctx (op : E.binop) sign w prems : (judgment, string) result =
   let* p2, f2, a2, c2 = as_wval (List.nth prems 1) in
   let expected = conv_of_sign sign w in
   if not (conv_equal f1 expected && conv_equal f2 expected) then
-    fail "w_binop: premise conv mismatch"
+    reject "w_binop: premise conv mismatch"
   else begin
     let pq = E.and_e p1 p2 in
     let abs = E.Binop (op, a1, a2) in
@@ -1802,5 +1868,5 @@ and infer_w_binop ctx (op : E.binop) sign w prems : (judgment, string) result =
     | (E.Add | E.Sub | E.Mul | E.Div), Ty.Signed -> arith (in_srange_e w abs)
     | E.Rem, Ty.Signed -> arith E.true_e
     | (E.Lt | E.Le | E.Gt | E.Ge | E.Eq | E.Ne), _ -> cmp ()
-    | _ -> fail "w_binop: operator not abstracted (use w_recon)"
+    | _ -> reject "w_binop: operator not abstracted (use w_recon)"
   end

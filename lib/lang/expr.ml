@@ -141,26 +141,76 @@ let rec equal a b =
       _ ) ->
     false
 
-(* Bottom-up map over immediate subexpressions. *)
+(* [List.map f xs], returning [xs] itself when [f] returns every element
+   physically unchanged. *)
+let rec map_sharing f xs =
+  match xs with
+  | [] -> xs
+  | x :: tl ->
+    let x' = f x in
+    let tl' = map_sharing f tl in
+    if x' == x && tl' == tl then xs else x' :: tl'
+
+(* Bottom-up map over immediate subexpressions.  Returns [e] itself when
+   [f] returns every child physically unchanged, so the untouched parts of
+   a rewritten term stay shared with the original (the kernel's rewrite
+   maps and the rewrite engine's skip set depend on it). *)
 let map_children f e =
   match e with
   | Const _ | Var _ | Global _ -> e
-  | Unop (o, x) -> Unop (o, f x)
-  | Binop (o, x, y) -> Binop (o, f x, f y)
-  | Ite (c, x, y) -> Ite (f c, f x, f y)
-  | Cast (t, x) -> Cast (t, f x)
-  | OfWord (t, x) -> OfWord (t, f x)
-  | HeapRead (c, x) -> HeapRead (c, f x)
-  | TypedRead (c, x) -> TypedRead (c, f x)
-  | IsValid (c, x) -> IsValid (c, f x)
-  | PtrAligned (c, x) -> PtrAligned (c, f x)
-  | PtrSpan (c, x) -> PtrSpan (c, f x)
-  | PtrAdd (c, x, y) -> PtrAdd (c, f x, f y)
-  | FieldAddr (s, fl, x) -> FieldAddr (s, fl, f x)
-  | StructGet (s, fl, x) -> StructGet (s, fl, f x)
-  | StructSet (s, fl, x, y) -> StructSet (s, fl, f x, f y)
-  | Tuple xs -> Tuple (List.map f xs)
-  | Proj (i, x) -> Proj (i, f x)
+  | Unop (o, x) ->
+    let x' = f x in
+    if x' == x then e else Unop (o, x')
+  | Binop (o, x, y) ->
+    let x' = f x in
+    let y' = f y in
+    if x' == x && y' == y then e else Binop (o, x', y')
+  | Ite (c, x, y) ->
+    let c' = f c in
+    let x' = f x in
+    let y' = f y in
+    if c' == c && x' == x && y' == y then e else Ite (c', x', y')
+  | Cast (t, x) ->
+    let x' = f x in
+    if x' == x then e else Cast (t, x')
+  | OfWord (t, x) ->
+    let x' = f x in
+    if x' == x then e else OfWord (t, x')
+  | HeapRead (c, x) ->
+    let x' = f x in
+    if x' == x then e else HeapRead (c, x')
+  | TypedRead (c, x) ->
+    let x' = f x in
+    if x' == x then e else TypedRead (c, x')
+  | IsValid (c, x) ->
+    let x' = f x in
+    if x' == x then e else IsValid (c, x')
+  | PtrAligned (c, x) ->
+    let x' = f x in
+    if x' == x then e else PtrAligned (c, x')
+  | PtrSpan (c, x) ->
+    let x' = f x in
+    if x' == x then e else PtrSpan (c, x')
+  | PtrAdd (c, x, y) ->
+    let x' = f x in
+    let y' = f y in
+    if x' == x && y' == y then e else PtrAdd (c, x', y')
+  | FieldAddr (s, fl, x) ->
+    let x' = f x in
+    if x' == x then e else FieldAddr (s, fl, x')
+  | StructGet (s, fl, x) ->
+    let x' = f x in
+    if x' == x then e else StructGet (s, fl, x')
+  | StructSet (s, fl, x, y) ->
+    let x' = f x in
+    let y' = f y in
+    if x' == x && y' == y then e else StructSet (s, fl, x', y')
+  | Tuple xs ->
+    let xs' = map_sharing f xs in
+    if xs' == xs then e else Tuple xs'
+  | Proj (i, x) ->
+    let x' = f x in
+    if x' == x then e else Proj (i, x')
 
 (* Rebuild a node with the given children, in [children] order.  (Unlike
    [map_children], the association is positional and explicit — constructor
@@ -205,23 +255,106 @@ let children e =
   | Ite (c, x, y) -> [ c; x; y ]
   | Tuple xs -> xs
 
+(* [List.exists p (children e)] and [List.for_all p (children e)], in
+   [children] order, without building the list. *)
+let exists_child p e =
+  match e with
+  | Const _ | Var _ | Global _ -> false
+  | Unop (_, x)
+  | Cast (_, x)
+  | OfWord (_, x)
+  | HeapRead (_, x)
+  | TypedRead (_, x)
+  | IsValid (_, x)
+  | PtrAligned (_, x)
+  | PtrSpan (_, x)
+  | FieldAddr (_, _, x)
+  | StructGet (_, _, x)
+  | Proj (_, x) ->
+    p x
+  | Binop (_, x, y) | PtrAdd (_, x, y) | StructSet (_, _, x, y) -> p x || p y
+  | Ite (c, x, y) -> p c || p x || p y
+  | Tuple xs -> List.exists p xs
+
+let for_all_children p e =
+  match e with
+  | Const _ | Var _ | Global _ -> true
+  | Unop (_, x)
+  | Cast (_, x)
+  | OfWord (_, x)
+  | HeapRead (_, x)
+  | TypedRead (_, x)
+  | IsValid (_, x)
+  | PtrAligned (_, x)
+  | PtrSpan (_, x)
+  | FieldAddr (_, _, x)
+  | StructGet (_, _, x)
+  | Proj (_, x) ->
+    p x
+  | Binop (_, x, y) | PtrAdd (_, x, y) | StructSet (_, _, x, y) -> p x && p y
+  | Ite (c, x, y) -> p c && p x && p y
+  | Tuple xs -> List.for_all p xs
+
 let rec fold f acc e = List.fold_left (fold f) (f acc e) (children e)
 
 (* Term size: the number of AST nodes.  This is the paper's "term size"
    metric for Table 5 ("the number of nodes in the abstract syntax tree of a
    specification"). *)
-let size e = fold (fun n _ -> n + 1) 0 e
+let rec size e =
+  match e with
+  | Const _ | Var _ | Global _ -> 1
+  | Unop (_, x)
+  | Cast (_, x)
+  | OfWord (_, x)
+  | HeapRead (_, x)
+  | TypedRead (_, x)
+  | IsValid (_, x)
+  | PtrAligned (_, x)
+  | PtrSpan (_, x)
+  | FieldAddr (_, _, x)
+  | StructGet (_, _, x)
+  | Proj (_, x) ->
+    1 + size x
+  | Binop (_, x, y) | PtrAdd (_, x, y) | StructSet (_, _, x, y) -> 1 + size x + size y
+  | Ite (c, x, y) -> 1 + size c + size x + size y
+  | Tuple xs -> List.fold_left (fun n x -> n + size x) 1 xs
 
 let free_vars e =
   fold (fun acc e -> match e with Var (v, _) -> SMap.add v () acc | _ -> acc) SMap.empty e
   |> SMap.bindings |> List.map fst
 
-let mem_var v e = List.mem v (free_vars e)
-
-let rec subst (bindings : (string * t) list) e =
+(* [List.mem v (free_vars e)], short-circuiting and allocation-free. *)
+let rec mem_var v e =
   match e with
-  | Var (v, _) -> ( match List.assoc_opt v bindings with Some x -> x | None -> e)
-  | _ -> map_children (subst bindings) e
+  | Var (x, _) -> String.equal x v
+  | Const _ | Global _ -> false
+  | Unop (_, x)
+  | Cast (_, x)
+  | OfWord (_, x)
+  | HeapRead (_, x)
+  | TypedRead (_, x)
+  | IsValid (_, x)
+  | PtrAligned (_, x)
+  | PtrSpan (_, x)
+  | FieldAddr (_, _, x)
+  | StructGet (_, _, x)
+  | Proj (_, x) ->
+    mem_var v x
+  | Binop (_, x, y) | PtrAdd (_, x, y) | StructSet (_, _, x, y) -> mem_var v x || mem_var v y
+  | Ite (c, x, y) -> mem_var v c || mem_var v x || mem_var v y
+  | Tuple xs -> mem_var_list v xs
+
+and mem_var_list v = function
+  | [] -> false
+  | x :: tl -> mem_var v x || mem_var_list v tl
+
+let subst (bindings : (string * t) list) e =
+  let rec go e =
+    match e with
+    | Var (v, _) -> ( match List.assoc_opt v bindings with Some x -> x | None -> e)
+    | _ -> map_children go e
+  in
+  go e
 
 let rename_var old_name new_name ty e = subst [ (old_name, Var (new_name, ty)) ] e
 
@@ -230,13 +363,13 @@ let rename_var old_name new_name ty e = subst [ (old_name, Var (new_name, ty)) ]
 let rec reads_state e =
   match e with
   | Global _ | HeapRead _ | TypedRead _ | IsValid _ -> true
-  | _ -> List.exists reads_state (children e)
+  | _ -> exists_child reads_state e
 
 (* Does the expression mention the concrete (byte-level) heap? *)
 let rec reads_concrete_heap e =
   match e with
   | HeapRead _ -> true
-  | _ -> List.exists reads_concrete_heap (children e)
+  | _ -> exists_child reads_concrete_heap e
 
 (* ------------------------------------------------------------------ *)
 (* Typing. *)

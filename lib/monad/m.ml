@@ -82,6 +82,16 @@ let rec pat_vars = function
   | Ptuple ps -> List.concat_map pat_vars ps
   | Pwild -> []
 
+(* Does the pattern bind [x]?  (Allocation-free [List.mem_assoc x (pat_vars p)].) *)
+let rec pat_binds x = function
+  | Pvar (y, _) -> String.equal x y
+  | Pwild -> false
+  | Ptuple ps -> pats_bind x ps
+
+and pats_bind x = function
+  | [] -> false
+  | p :: tl -> pat_binds x p || pats_bind x tl
+
 let rec pat_ty = function
   | Pvar (_, t) -> t
   | Ptuple ps -> Ty.Ttuple (List.map pat_ty ps)
@@ -207,40 +217,81 @@ and smod_equal x y =
   | (Heap_write _ | Typed_write _ | Global_set _ | Local_set _ | Retype _), _ -> false
 
 (* Substitute expressions for free variables throughout a term, respecting
-   binder shadowing. *)
+   binder shadowing.  Returns [m] itself when no substitution applies (and
+   any subterm it leaves alone itself), so the untouched parts of a
+   rewritten term stay shared with the original. *)
+let subst_smod bindings sm =
+  let sub_e = E.subst bindings in
+  match sm with
+  | Heap_write (c, p, v) ->
+    let p' = sub_e p in
+    let v' = sub_e v in
+    if p' == p && v' == v then sm else Heap_write (c, p', v')
+  | Typed_write (c, p, v) ->
+    let p' = sub_e p in
+    let v' = sub_e v in
+    if p' == p && v' == v then sm else Typed_write (c, p', v')
+  | Global_set (x, e) ->
+    let e' = sub_e e in
+    if e' == e then sm else Global_set (x, e')
+  | Local_set (x, e) ->
+    let e' = sub_e e in
+    if e' == e then sm else Local_set (x, e')
+  | Retype (c, e) ->
+    let e' = sub_e e in
+    if e' == e then sm else Retype (c, e')
+
+(* The bindings visible under a binder of [p]. *)
+let drop_bound p bindings =
+  if List.exists (fun (x, _) -> pat_binds x p) bindings then
+    List.filter (fun (x, _) -> not (pat_binds x p)) bindings
+  else bindings
+
 let rec subst (bindings : (string * E.t) list) m =
   if bindings = [] then m
   else begin
-    let sub_e = E.subst bindings in
-    let drop p bindings =
-      let bound = List.map fst (pat_vars p) in
-      List.filter (fun (x, _) -> not (List.mem x bound)) bindings
-    in
     match m with
-    | Return e -> Return (sub_e e)
-    | Gets e -> Gets (sub_e e)
-    | Throw e -> Throw (sub_e e)
-    | Fail -> Fail
-    | Unknown t -> Unknown t
-    | Guard (k, e) -> Guard (k, sub_e e)
+    | Return e ->
+      let e' = E.subst bindings e in
+      if e' == e then m else Return e'
+    | Gets e ->
+      let e' = E.subst bindings e in
+      if e' == e then m else Gets e'
+    | Throw e ->
+      let e' = E.subst bindings e in
+      if e' == e then m else Throw e'
+    | Fail | Unknown _ -> m
+    | Guard (k, e) ->
+      let e' = E.subst bindings e in
+      if e' == e then m else Guard (k, e')
     | Modify ms ->
-      Modify
-        (List.map
-           (function
-             | Heap_write (c, p, v) -> Heap_write (c, sub_e p, sub_e v)
-             | Typed_write (c, p, v) -> Typed_write (c, sub_e p, sub_e v)
-             | Global_set (x, e) -> Global_set (x, sub_e e)
-             | Local_set (x, e) -> Local_set (x, sub_e e)
-             | Retype (c, e) -> Retype (c, sub_e e))
-           ms)
-    | Bind (a, p, b) -> Bind (subst bindings a, p, subst (drop p bindings) b)
-    | Try (a, p, b) -> Try (subst bindings a, p, subst (drop p bindings) b)
-    | Cond (c, a, b) -> Cond (sub_e c, subst bindings a, subst bindings b)
+      let ms' = E.map_sharing (subst_smod bindings) ms in
+      if ms' == ms then m else Modify ms'
+    | Bind (a, p, b) ->
+      let a' = subst bindings a in
+      let b' = subst (drop_bound p bindings) b in
+      if a' == a && b' == b then m else Bind (a', p, b')
+    | Try (a, p, b) ->
+      let a' = subst bindings a in
+      let b' = subst (drop_bound p bindings) b in
+      if a' == a && b' == b then m else Try (a', p, b')
+    | Cond (c, a, b) ->
+      let c' = E.subst bindings c in
+      let a' = subst bindings a in
+      let b' = subst bindings b in
+      if c' == c && a' == a && b' == b then m else Cond (c', a', b')
     | While (p, c, body, init) ->
-      let inner = drop p bindings in
-      While (p, E.subst inner c, subst inner body, sub_e init)
-    | Call (f, args) -> Call (f, List.map sub_e args)
-    | Exec_concrete (f, args) -> Exec_concrete (f, List.map sub_e args)
+      let inner = drop_bound p bindings in
+      let c' = E.subst inner c in
+      let body' = subst inner body in
+      let init' = E.subst bindings init in
+      if c' == c && body' == body && init' == init then m else While (p, c', body', init')
+    | Call (f, args) ->
+      let args' = E.map_sharing (E.subst bindings) args in
+      if args' == args then m else Call (f, args')
+    | Exec_concrete (f, args) ->
+      let args' = E.map_sharing (E.subst bindings) args in
+      if args' == args then m else Exec_concrete (f, args')
   end
 
 (* Free variables of a monadic term. *)
@@ -277,3 +328,25 @@ let free_vars m =
     | Call (_, args) | Exec_concrete (_, args) -> List.fold_left (fun acc e -> fv_e e acc) acc args
   in
   SSet.elements (go SSet.empty m SSet.empty)
+
+(* [occurs_free x m] = [List.mem x (free_vars m)], without building the set:
+   short-circuits at the first free occurrence and allocates nothing.  The
+   kernel's side conditions ask it for a handful of names at a time. *)
+let rec occurs_free x m =
+  match m with
+  | Return e | Gets e | Guard (_, e) | Throw e -> E.mem_var x e
+  | Fail | Unknown _ -> false
+  | Modify ms -> smods_mention x ms
+  | Bind (a, p, b) | Try (a, p, b) -> occurs_free x a || ((not (pat_binds x p)) && occurs_free x b)
+  | Cond (c, a, b) -> E.mem_var x c || occurs_free x a || occurs_free x b
+  | While (p, c, body, init) ->
+    E.mem_var x init || ((not (pat_binds x p)) && (E.mem_var x c || occurs_free x body))
+  | Call (_, args) | Exec_concrete (_, args) -> E.mem_var_list x args
+
+and smods_mention x = function
+  | [] -> false
+  | sm :: tl ->
+    (match sm with
+    | Heap_write (_, p, v) | Typed_write (_, p, v) -> E.mem_var x p || E.mem_var x v
+    | Global_set (_, e) | Local_set (_, e) | Retype (_, e) -> E.mem_var x e)
+    || smods_mention x tl

@@ -36,6 +36,7 @@ let () =
       ("analysis", Test_analysis.suite);
       ("robustness", Test_robustness.suite);
       ("perf_layer", Test_perf_layer.suite);
+      ("l2", Test_l2.suite);
       ("store", Test_store.suite);
       ("serve", Test_serve.suite);
       ("obs", Test_obs.suite);

@@ -304,6 +304,325 @@ let interproc_discharge_sound (((hbody : M.t), (fbody : M.t)), (a, b)) =
          [ (a, b); (0, 0); (1, 0xFFFFFFFF); (31, 2); (0xFFFFFFFF, 0xFFFFFFFF) ]
 
 (* ------------------------------------------------------------------ *)
+(* The kernel's term maps ([Esimp.simp], [Rules.msimp],
+   [Rules.discharge_guards], [M.subst]) return their input itself when
+   nothing changed.  Pinned against reference copies of the maps as they
+   were before, which rebuilt every node: the results must be
+   structurally equal, and physically the input whenever they are
+   structurally equal to it.  The short-circuiting occurrence checks must
+   agree with the free-variable sets they replace. *)
+
+module Ref_maps = struct
+  let map_children f (e : E.t) : E.t =
+    match e with
+    | E.Const _ | E.Var _ | E.Global _ -> e
+    | E.Unop (o, x) -> E.Unop (o, f x)
+    | E.Binop (o, x, y) -> E.Binop (o, f x, f y)
+    | E.Ite (c, x, y) -> E.Ite (f c, f x, f y)
+    | E.Cast (t, x) -> E.Cast (t, f x)
+    | E.OfWord (t, x) -> E.OfWord (t, f x)
+    | E.HeapRead (c, x) -> E.HeapRead (c, f x)
+    | E.TypedRead (c, x) -> E.TypedRead (c, f x)
+    | E.IsValid (c, x) -> E.IsValid (c, f x)
+    | E.PtrAligned (c, x) -> E.PtrAligned (c, f x)
+    | E.PtrSpan (c, x) -> E.PtrSpan (c, f x)
+    | E.PtrAdd (c, x, y) -> E.PtrAdd (c, f x, f y)
+    | E.FieldAddr (s, fl, x) -> E.FieldAddr (s, fl, f x)
+    | E.StructGet (s, fl, x) -> E.StructGet (s, fl, f x)
+    | E.StructSet (s, fl, x, y) -> E.StructSet (s, fl, f x, f y)
+    | E.Tuple xs -> E.Tuple (List.map f xs)
+    | E.Proj (i, x) -> E.Proj (i, f x)
+
+  let rec is_closed_pure (e : E.t) =
+    match e with
+    | E.Var _ | E.Global _ | E.HeapRead _ | E.TypedRead _ | E.IsValid _ -> false
+    | _ -> List.for_all is_closed_pure (E.children e)
+
+  let fold_constant lenv (e : E.t) : E.t =
+    match e with
+    | E.Const _ -> e
+    | _ ->
+      if is_closed_pure e then begin
+        match E.eval_pure lenv SMap.empty e with
+        | Value.Vtuple _ | Value.Vstruct _ -> e
+        | v -> E.Const v
+        | exception E.Eval_stuck _ -> e
+      end
+      else e
+
+  let rec esimp lenv (e : E.t) : E.t =
+    let e = map_children (esimp lenv) e in
+    let e =
+      match e with
+      | E.Proj (i, E.Tuple es) when i < List.length es -> List.nth es i
+      | E.Binop (E.And, a, b) -> E.and_e a b
+      | E.Binop (E.Or, a, b) -> E.or_e a b
+      | E.Binop (E.Imp, a, b) -> E.imp_e a b
+      | E.Unop (E.Not, x) -> E.not_e x
+      | E.Ite (E.Const (Value.Vbool true), a, _) -> a
+      | E.Ite (E.Const (Value.Vbool false), _, b) -> b
+      | E.Ite (_, a, b) when E.equal a b -> a
+      | E.Binop (E.Eq, a, b) when E.equal a b && not (E.reads_state a) -> E.true_e
+      | e -> e
+    in
+    fold_constant lenv e
+
+  let rec msimp lenv (m : M.t) : M.t =
+    let s e = esimp lenv e in
+    match m with
+    | M.Return e -> M.Return (s e)
+    | M.Gets e -> if E.reads_state (s e) then M.Gets (s e) else M.Return (s e)
+    | M.Guard (k, e) -> M.Guard (k, s e)
+    | M.Fail -> M.Fail
+    | M.Unknown t -> M.Unknown t
+    | M.Throw e -> M.Throw (s e)
+    | M.Modify ms ->
+      M.Modify
+        (List.map
+           (function
+             | M.Heap_write (c, p, v) -> M.Heap_write (c, s p, s v)
+             | M.Typed_write (c, p, v) -> M.Typed_write (c, s p, s v)
+             | M.Global_set (x, e) -> M.Global_set (x, s e)
+             | M.Local_set (x, e) -> M.Local_set (x, s e)
+             | M.Retype (c, e) -> M.Retype (c, s e))
+           ms)
+    | M.Bind (a, p, b) -> M.Bind (msimp lenv a, p, msimp lenv b)
+    | M.Try (a, p, b) -> M.Try (msimp lenv a, p, msimp lenv b)
+    | M.Cond (c, a, b) -> M.Cond (s c, msimp lenv a, msimp lenv b)
+    | M.While (p, c, body, init) -> M.While (p, s c, msimp lenv body, s init)
+    | M.Call (f, args) -> M.Call (f, List.map s args)
+    | M.Exec_concrete (f, args) -> M.Exec_concrete (f, List.map s args)
+
+  let fact_kind (e : E.t) : Rules.fact_kind =
+    let rec scan e (seen_valid, seen_other) =
+      let acc =
+        match e with
+        | E.IsValid _ -> (true, seen_other)
+        | E.HeapRead _ | E.TypedRead _ | E.Global _ -> (seen_valid, true)
+        | _ -> (seen_valid, seen_other)
+      in
+      List.fold_left (fun acc c -> scan c acc) acc (E.children e)
+    in
+    match scan e (false, false) with
+    | _, true -> Rules.Ffragile
+    | true, false -> Rules.Fvalidity
+    | false, false -> Rules.Fpure
+
+  let fact_survives (k : Rules.kills) (f : E.t) =
+    match fact_kind f with
+    | Rules.Fpure -> true
+    | Rules.Fvalidity -> not k.Rules.k_retype_or_call
+    | Rules.Ffragile -> not (k.Rules.k_values || k.Rules.k_retype_or_call)
+
+  let drop_rebound vars facts =
+    List.filter (fun f -> not (List.exists (fun v -> List.mem v vars) (E.free_vars f))) facts
+
+  let rec discharge lenv (facts : E.t list) (m : M.t) : M.t * E.t list =
+    let survives = fact_survives and drop = drop_rebound in
+    (* the unchanged helpers *)
+    let open Rules in
+    match m with
+    | M.Guard (k, g) ->
+      let parts = conjuncts g in
+      let remaining = List.filter (fun c -> not (established facts c)) parts in
+      let m' =
+        match remaining with
+        | [] -> M.Return E.unit_e
+        | parts' -> M.Guard (k, E.conj parts')
+      in
+      (m', parts @ facts)
+    | M.Return _ | M.Gets _ | M.Throw _ | M.Fail | M.Unknown _ -> (m, facts)
+    | M.Modify sms ->
+      let k = List.fold_left (fun k sm -> kills_union k (smod_kills sm)) no_kills sms in
+      (m, List.filter (survives k) facts)
+    | M.Bind (a, p, b) ->
+      let a', facts1 = discharge lenv facts a in
+      let facts2 = drop (List.map fst (M.pat_vars p)) facts1 in
+      let b', facts3 = discharge lenv facts2 b in
+      (M.Bind (a', p, b'), facts3)
+    | M.Try (a, p, h) ->
+      let a', facts_a = discharge lenv facts a in
+      let facts_h_in =
+        drop (List.map fst (M.pat_vars p))
+          (List.filter (survives (term_kills a)) facts)
+      in
+      let h', facts_h = discharge lenv facts_h_in h in
+      (M.Try (a', p, h'), List.filter (fun f -> List.exists (E.equal f) facts_h) facts_a)
+    | M.Cond (c, a, b) ->
+      let a', facts_a = discharge lenv (conjuncts c @ facts) a in
+      let b', facts_b = discharge lenv (E.not_e c :: facts) b in
+      (M.Cond (c, a', b'), List.filter (fun f -> List.exists (E.equal f) facts_b) facts_a)
+    | M.While (p, c, body, init) ->
+      let k = term_kills body in
+      let inner_facts =
+        conjuncts c
+        @ drop (List.map fst (M.pat_vars p)) (List.filter (survives k) facts)
+      in
+      let body', _ = discharge lenv inner_facts body in
+      (M.While (p, c, body', init), List.filter (survives k) facts)
+    | M.Call _ | M.Exec_concrete _ -> (m, List.filter (survives all_kills) facts)
+
+  let discharge_guards lenv m = fst (discharge lenv [] m)
+
+  let binder_names (m : M.t) : string list =
+    let acc = ref [] in
+    let add p =
+      List.iter (fun (x, _) -> if not (List.mem x !acc) then acc := x :: !acc) (M.pat_vars p)
+    in
+    let rec go m =
+      match m with
+      | M.Bind (a, p, b) | M.Try (a, p, b) ->
+        add p;
+        go a;
+        go b
+      | M.Cond (_, a, b) ->
+        go a;
+        go b
+      | M.While (p, _, body, _) ->
+        add p;
+        go body
+      | M.Return _ | M.Gets _ | M.Modify _ | M.Guard _ | M.Fail | M.Throw _ | M.Unknown _
+      | M.Call _ | M.Exec_concrete _ ->
+        ()
+    in
+    go m;
+    !acc
+
+  let capture_free (e : E.t) (b : M.t) =
+    let binders = binder_names b in
+    not (List.exists (fun v -> List.mem v binders) (E.free_vars e))
+
+  let rec esubst (bindings : (string * E.t) list) (e : E.t) : E.t =
+    match e with
+    | E.Var (v, _) -> ( match List.assoc_opt v bindings with Some x -> x | None -> e)
+    | _ -> map_children (esubst bindings) e
+
+  let rec subst (bindings : (string * E.t) list) m =
+    if bindings = [] then m
+    else begin
+      let sub_e = esubst bindings in
+      let drop p bindings =
+        let bound = List.map fst (M.pat_vars p) in
+        List.filter (fun (x, _) -> not (List.mem x bound)) bindings
+      in
+      match m with
+      | M.Return e -> M.Return (sub_e e)
+      | M.Gets e -> M.Gets (sub_e e)
+      | M.Throw e -> M.Throw (sub_e e)
+      | M.Fail -> M.Fail
+      | M.Unknown t -> M.Unknown t
+      | M.Guard (k, e) -> M.Guard (k, sub_e e)
+      | M.Modify ms ->
+        M.Modify
+          (List.map
+             (function
+               | M.Heap_write (c, p, v) -> M.Heap_write (c, sub_e p, sub_e v)
+               | M.Typed_write (c, p, v) -> M.Typed_write (c, sub_e p, sub_e v)
+               | M.Global_set (x, e) -> M.Global_set (x, sub_e e)
+               | M.Local_set (x, e) -> M.Local_set (x, sub_e e)
+               | M.Retype (c, e) -> M.Retype (c, sub_e e))
+             ms)
+      | M.Bind (a, p, b) -> M.Bind (subst bindings a, p, subst (drop p bindings) b)
+      | M.Try (a, p, b) -> M.Try (subst bindings a, p, subst (drop p bindings) b)
+      | M.Cond (c, a, b) -> M.Cond (sub_e c, subst bindings a, subst bindings b)
+      | M.While (p, c, body, init) ->
+        let inner = drop p bindings in
+        M.While (p, esubst inner c, subst inner body, sub_e init)
+      | M.Call (f, args) -> M.Call (f, List.map sub_e args)
+      | M.Exec_concrete (f, args) -> M.Exec_concrete (f, List.map sub_e args)
+    end
+end
+
+(* Random monadic terms for the map properties: the guard programs above,
+   with some [Return]s turned into [Gets] (msimp's demotion case), guards
+   duplicated (so discharge has something to delete), and boolean
+   structure [Esimp] can simplify. *)
+let gen_mterm =
+  let open QCheck.Gen in
+  let rec vary salt (m : M.t) : M.t =
+    match m with
+    | M.Return e when (Hashtbl.hash e + salt) land 3 = 0 -> M.Gets e
+    | M.Return e when (Hashtbl.hash e + salt) land 3 = 1 ->
+      M.Return (E.Ite (E.Binop (E.And, E.true_e, E.Binop (E.Eq, e, e)), e, w32 0))
+    | M.Bind ((M.Guard _ as g), M.Pwild, rest) when salt land 1 = 0 ->
+      M.Bind (g, M.Pwild, M.Bind (g, M.Pwild, vary (salt + 1) rest))
+    | M.Bind (a, p, b) -> M.Bind (vary salt a, p, vary (salt + 7) b)
+    | M.Cond (c, a, b) -> M.Cond (c, vary (salt + 3) a, vary (salt + 5) b)
+    | M.While (p, c, body, init) -> M.While (p, c, vary (salt + 11) body, init)
+    | m -> m
+  in
+  let* m = gen_mprog in
+  let* salt = int_range 0 3 in
+  return (vary salt m)
+
+let arb_mterm = QCheck.make ~print:Ac_monad.Mprint.to_string gen_mterm
+
+(* Guard facts over the state: [gen_expr] conjoined with heap reads,
+   validity tests and globals. *)
+let arb_fact =
+  let open QCheck.Gen in
+  let cty = Ty.Cword (Ty.Unsigned, Ty.W32) in
+  let wrap e =
+    oneofl
+      [ e; E.IsValid (cty, e); E.TypedRead (cty, e); E.HeapRead (cty, e);
+        E.Global ("g", Ty.Tint); E.Unop (E.Not, E.IsValid (cty, e)) ]
+  in
+  QCheck.make ~print:Ac_lang.Pretty.expr_to_string
+    (let* a = gen_expr in
+     let* b = gen_expr in
+     let* a = wrap a in
+     let* b = wrap b in
+     oneofl [ a; E.Binop (E.And, a, b); E.Ite (a, b, a) ])
+
+let names = [ "x"; "y"; "z2"; "z3"; "z4"; "z5"; "w2"; "w3"; "w4"; "w5"; "nope" ]
+
+let shares_when_equal equal input result = (not (equal result input)) || result == input
+
+let map_props =
+  let open QCheck in
+  [
+    Test.make ~name:"esimp = rebuild-everything esimp, and shares when unchanged" ~count:800
+      arb_expr_env (fun (e, _) ->
+        let r = Ac_kernel.Esimp.simp lenv e in
+        E.equal r (Ref_maps.esimp lenv e) && shares_when_equal E.equal e r);
+    Test.make ~name:"msimp = rebuild-everything msimp, and shares when unchanged" ~count:600
+      arb_mterm (fun m ->
+        let r = Rules.msimp lenv m in
+        M.equal r (Ref_maps.msimp lenv m)
+        && shares_when_equal M.equal m r
+        && Rules.msimp lenv r == r);
+    Test.make
+      ~name:"discharge_guards = rebuild-everything version, and shares when unchanged"
+      ~count:600 arb_mterm (fun m ->
+        let r = Rules.discharge_guards lenv m in
+        M.equal r (Ref_maps.discharge_guards lenv m) && shares_when_equal M.equal m r);
+    Test.make ~name:"M.subst = rebuild-everything subst, and shares when nothing applies"
+      ~count:600
+      (pair arb_mterm (make QCheck.Gen.(pair (oneofl names) (gen_wexpr [ "x"; "q" ] 1))))
+      (fun (m, (x, e)) ->
+        let r = M.subst [ (x, e) ] m in
+        M.equal r (Ref_maps.subst [ (x, e) ] m) && (M.occurs_free x m || r == m));
+    Test.make ~name:"binder_names / capture_free = the list-scanning reference" ~count:600
+      (pair arb_mterm (make (gen_wexpr [ "x"; "y"; "z2"; "w3"; "q" ] 2)))
+      (fun (m, e) ->
+        Rules.binder_names m = Ref_maps.binder_names m
+        && Rules.capture_free e m = Ref_maps.capture_free e m);
+    Test.make ~name:"fact_kind = the tuple-threading reference" ~count:800 arb_fact
+      (fun e -> Rules.fact_kind e = Ref_maps.fact_kind e);
+    Test.make ~name:"occurs_free / mem_var agree with free_vars" ~count:600 arb_mterm
+      (fun m ->
+        List.for_all
+          (fun x ->
+            M.occurs_free x m = List.mem x (M.free_vars m)
+            && (let ok = ref true in
+                M.iter_exprs
+                  (fun e -> if E.mem_var x e <> List.mem x (E.free_vars e) then ok := false)
+                  m;
+                !ok))
+          names);
+  ]
+
+(* ------------------------------------------------------------------ *)
 
 let props =
   let open QCheck in
@@ -407,4 +726,4 @@ let props =
       ~count:300 arb_callprog interproc_discharge_sound;
   ]
 
-let suite = List.map QCheck_alcotest.to_alcotest props
+let suite = List.map QCheck_alcotest.to_alcotest (props @ map_props)
