@@ -587,23 +587,14 @@ let robustness () =
      degradation ladder (right to left) instead of aborting the unit, and\n\
      every theorem that was still emitted re-validates through Thm.check."
 
-(* PR 3's performance layer, measured honestly on this machine:
+(* The derivation-check cache, measured on this machine: re-checking
+   every derivation of the corpus programs plus the 40-function
+   echronos-like unit, uncached ([Thm.check], re-walks every occurrence)
+   vs cached ([Check_cache], memoized on the derivation DAG).  The two
+   modes must reach the same verdict on every workload (the divergence
+   check), and both must accept.
 
-   - end-to-end translation of every corpus program plus the 40-function
-     echronos-like unit (the workload per-function parallelism exists
-     for), under three configurations: the sequential baseline
-     (hash-consing off, jobs=1), the new stack
-     sequentially (jobs=1), and the new stack at --jobs 4;
-   - derivation re-checking, uncached ([Thm.check], re-walks every
-     occurrence) vs cached ([Check_cache], memoized on the derivation
-     DAG);
-   - a divergence check: all translation configurations must produce
-     byte-identical output (functions, levels, bodies, diagnostics), and
-     both check modes the same verdict.
-
-   Results go to BENCH_pr3.json in the working directory.  Wall-clock
-   speedup from --jobs naturally depends on the cores available; the
-   JSON records the machine's core count next to the numbers. *)
+   Results go to BENCH_pr3.json in the working directory. *)
 
 (* Best-of-N wall clock, with the competing configurations interleaved
    round-robin: background load then hits every configuration in each
@@ -655,84 +646,51 @@ let fingerprint (res : Driver.result) : string =
   Buffer.contents b
 
 let perf () =
-  header "Perf: hash-consing, check cache, parallel translation (PR 3)";
+  header "Perf: cached vs uncached derivation checking";
   let workloads =
     Csources.all @ [ ("echronos-like", Ac_codegen.generate Ac_codegen.echronos_like) ]
   in
-  let opts jobs = { Driver.default_options with Driver.keep_going = true; jobs } in
-  let translate_all jobs () =
-    List.map (fun (_, src) -> Driver.run ~options:(opts jobs) src) workloads
-  in
-  let reps = 5 in
-  (* The baseline: structural equality everywhere (no hash-consing), one
-     domain. *)
-  let baseline_thunk () =
-    T.hc_enabled := false;
-    Fun.protect
-      ~finally:(fun () -> T.hc_enabled := true)
-      (translate_all 1)
-  in
-  let ( (baseline_results, baseline_s), (seq_results, seq_s), (par_results, par_s) ) =
-    match
-      time_min_all ~reps [ baseline_thunk; translate_all 1; translate_all 4 ]
-    with
-    | [ b; s; p ] -> (b, s, p)
-    | _ -> assert false
-  in
-  let fps l = List.map fingerprint l in
-  let divergence =
-    fps baseline_results <> fps seq_results || fps seq_results <> fps par_results
-  in
-  (* Derivation checking over every theorem those runs produced. *)
+  let options = { Driver.default_options with Driver.keep_going = true } in
+  let results = List.map (fun (_, src) -> Driver.run ~options src) workloads in
   let check_mode cached () =
-    List.for_all (fun res -> Driver.check_all ~cached res = Ok ()) par_results
+    List.map (fun res -> Driver.check_all ~cached res = Ok ()) results
   in
-  let (check_ok_uncached, uncached_s), (check_ok_cached, cached_s) =
+  let (uncached_ok, uncached_s), (cached_ok, cached_s) =
     match time_min_all ~reps:9 [ check_mode false; check_mode true ] with
     | [ u; c ] -> (u, c)
     | _ -> assert false
   in
-  let speedup a b = if b > 0. then a /. b else 1. in
-  let cores = Domain.recommended_domain_count () in
+  let divergence = uncached_ok <> cached_ok in
+  let checks_accept = List.for_all Fun.id uncached_ok && List.for_all Fun.id cached_ok in
+  let speedup = if cached_s > 0. then uncached_s /. cached_s else 1. in
   let rows =
     [
-      [ "translate, baseline (no hc, jobs=1)"; Printf.sprintf "%.3f" baseline_s;
-        "1.00x" ];
-      [ "translate, optimised, jobs=1"; Printf.sprintf "%.3f" seq_s;
-        Printf.sprintf "%.2fx" (speedup baseline_s seq_s) ];
-      [ "translate, optimised, jobs=4"; Printf.sprintf "%.3f" par_s;
-        Printf.sprintf "%.2fx" (speedup baseline_s par_s) ];
       [ "check, uncached (kernel walk)"; Printf.sprintf "%.3f" uncached_s; "1.00x" ];
       [ "check, cached (derivation DAG)"; Printf.sprintf "%.3f" cached_s;
-        Printf.sprintf "%.2fx" (speedup uncached_s cached_s) ];
+        Printf.sprintf "%.2fx" speedup ];
     ]
   in
   print_string
     (Ac_stats.render_table ~header:[ "Configuration"; "Best wall (s)"; "Speedup" ] rows);
   Printf.printf
-    "\n%d workload(s), %d core(s) available; output divergence between modes: %s;\n\
+    "\n%d workload(s); verdict divergence between check modes: %s;\n\
      both check modes accept: %s.\n"
-    (List.length workloads) cores (if divergence then "DIVERGED" else "none")
-    (if check_ok_uncached && check_ok_cached then "yes" else "NO");
+    (List.length workloads) (if divergence then "DIVERGED" else "none")
+    (if checks_accept then "yes" else "NO");
   let json =
     Printf.sprintf
-      "{\"experiment\":\"perf\",\"workloads\":%d,\"cores\":%d,\n\
-       \ \"translate_baseline_s\":%.6f,\"translate_seq_s\":%.6f,\"translate_jobs4_s\":%.6f,\n\
-       \ \"translate_speedup_vs_baseline\":%.3f,\"translate_jobs_speedup\":%.3f,\n\
+      "{\"experiment\":\"perf\",\"workloads\":%d,\n\
        \ \"check_uncached_s\":%.6f,\"check_cached_s\":%.6f,\"check_speedup\":%.3f,\n\
        \ \"check_cached_faster_pct\":%.1f,\"divergence\":%b,\"checks_accept\":%b}\n"
-      (List.length workloads) cores baseline_s seq_s par_s
-      (speedup baseline_s par_s) (speedup seq_s par_s)
-      uncached_s cached_s (speedup uncached_s cached_s)
+      (List.length workloads) uncached_s cached_s speedup
       (100. *. (1. -. (cached_s /. uncached_s)))
-      divergence (check_ok_uncached && check_ok_cached)
+      divergence checks_accept
   in
   let oc = open_out "BENCH_pr3.json" in
   output_string oc json;
   close_out oc;
   print_endline "wrote BENCH_pr3.json";
-  if divergence || not (check_ok_uncached && check_ok_cached) then
-    failwith "perf: divergence between modes"
+  if divergence || not checks_accept then failwith "perf: divergence between check modes"
 
 (* ------------------------------------------------------------------ *)
 (* PR 4: the content-addressed proof store.  Three measurements:
@@ -1072,19 +1030,17 @@ let interproc () =
 
 (* ------------------------------------------------------------------ *)
 (* PR 7: fault tolerance.  Drives `acc serve` over a pipe at injected
-   fault rates 0%, 1% and 5% (io_error + worker_crash via --inject) and
-   records, per rate: cold-store and warm-store request latency, warm
-   p95, warm round-trip throughput, and the session's final
-   retry/quarantine/restart counters from the `status` verb.  Floors
-   asserted: every request at every rate answers ok:true (faults degrade,
-   they never kill the session or a request), and the responses are
-   byte-identical across rates once the store/pool counters and
-   diagnostics are stripped.
+   I/O-fault rates 0%, 1% and 5% (io_error via --inject) and records, per
+   rate: cold-store and warm-store request latency, warm p95 and warm
+   round-trip throughput.  Floors asserted: every request at every rate
+   answers ok:true (faults degrade, they never kill the session or a
+   request), and the responses are byte-identical across rates once the
+   store counters and diagnostics are stripped.
 
    Results go to BENCH_pr7.json in the working directory. *)
 
 let faults () =
-  header "Faults: supervised serve under injected faults (PR 7)";
+  header "Faults: serve under injected faults";
   (* Pinned GC geometry (restored on exit), as in the store experiment:
      the latency columns drift under the default geometry. *)
   let gc0 = Gc.get () in
@@ -1117,8 +1073,8 @@ let faults () =
     Sys.remove d;
     d
   in
-  (* Volatile JSON sections: the store and pool counter objects (flat, so
-     the first '}' closes them) and the diagnostics array. *)
+  (* Volatile JSON sections: the store counter object (flat, so the first
+     '}' closes it) and the diagnostics array. *)
   let find_sub s key from =
     let klen = String.length key and n = String.length s in
     let rec go i =
@@ -1139,19 +1095,7 @@ let faults () =
   let strip line =
     line
     |> strip_to '}' "\"store\":{"
-    |> strip_to '}' "\"pool\":{"
     |> strip_to ']' "\"diagnostics\":["
-  in
-  let json_int key s =
-    match find_sub s (Printf.sprintf "\"%s\":" key) 0 with
-    | None -> -1
-    | Some i ->
-      let start = i + String.length key + 3 in
-      let stop = ref start in
-      while
-        !stop < String.length s && s.[!stop] >= '0' && s.[!stop] <= '9'
-      do incr stop done;
-      (try int_of_string (String.sub s start (!stop - start)) with _ -> -1)
   in
   let p95 l =
     let sorted = List.sort compare l in
@@ -1168,8 +1112,7 @@ let faults () =
     let inject =
       if rate = 0. then ""
       else
-        Printf.sprintf " --inject 'io_error:%g,worker_crash:%g,seed:42'" rate
-          (rate /. 2.)
+        Printf.sprintf " --inject 'io_error:%g,seed:42'" rate
     in
     let cmd =
       Printf.sprintf "%s serve --store %s%s 2> /dev/null" (Filename.quote acc_exe)
@@ -1192,9 +1135,6 @@ let faults () =
           request (List.nth req_files (i mod List.length req_files)))
     in
     let warm_wall = Unix.gettimeofday () -. t0 in
-    output_string oc "status\n";
-    flush oc;
-    let status = input_line ic in
     ignore (Unix.close_process (ic, oc));
     let responses = List.map fst (cold @ warm) in
     let ok =
@@ -1208,10 +1148,6 @@ let faults () =
       mean (lat warm),
       p95 (lat warm),
       float_of_int warm_reps /. warm_wall,
-      json_int "retries" status,
-      json_int "quarantined" status,
-      json_int "worker_restarts" status,
-      json_int "worker_crashes" status,
       ok,
       List.map strip responses )
   in
@@ -1220,37 +1156,33 @@ let faults () =
   List.iter Sys.remove req_files;
   let baseline_responses =
     match measured with
-    | (_, _, _, _, _, _, _, _, _, _, r) :: _ -> r
+    | (_, _, _, _, _, _, r) :: _ -> r
     | [] -> []
   in
   let all_ok =
-    List.for_all (fun (_, _, _, _, _, _, _, _, _, ok, _) -> ok) measured
+    List.for_all (fun (_, _, _, _, _, ok, _) -> ok) measured
   in
   let divergence =
     List.exists
-      (fun (_, _, _, _, _, _, _, _, _, _, r) -> r <> baseline_responses)
+      (fun (_, _, _, _, _, _, r) -> r <> baseline_responses)
       measured
   in
   let rows =
     List.map
-      (fun (rate, cold_m, warm_m, warm_p, rps, retries, quar, rest, _, _, _) ->
+      (fun (rate, cold_m, warm_m, warm_p, rps, _, _) ->
         [
           Printf.sprintf "%.0f%%" (100. *. rate);
           Printf.sprintf "%.4f" cold_m;
           Printf.sprintf "%.4f" warm_m;
           Printf.sprintf "%.4f" warm_p;
           Printf.sprintf "%.1f" rps;
-          string_of_int retries;
-          string_of_int quar;
-          string_of_int rest;
         ])
       measured
   in
   print_string
     (Ac_stats.render_table
        ~header:
-         [ "Faults"; "Cold mean(s)"; "Warm mean(s)"; "Warm p95(s)"; "Warm req/s";
-           "Retries"; "Quar"; "Restarts" ]
+         [ "Faults"; "Cold mean(s)"; "Warm mean(s)"; "Warm p95(s)"; "Warm req/s" ]
        rows);
   Printf.printf
     "\n%d requests per rate over %d files; all requests ok: %s;\n\
@@ -1262,10 +1194,10 @@ let faults () =
   let per_rate_json =
     String.concat ",\n  "
       (List.map
-         (fun (rate, cold_m, warm_m, warm_p, rps, retries, quar, rest, crashes, ok, _) ->
+         (fun (rate, cold_m, warm_m, warm_p, rps, ok, _) ->
            Printf.sprintf
-             "{\"rate\":%.3f,\"cold_mean_s\":%.6f,\"warm_mean_s\":%.6f,\"warm_p95_s\":%.6f,\"warm_req_per_s\":%.1f,\"retries\":%d,\"quarantined\":%d,\"worker_restarts\":%d,\"worker_crashes\":%d,\"all_ok\":%b}"
-             rate cold_m warm_m warm_p rps retries quar rest crashes ok)
+             "{\"rate\":%.3f,\"cold_mean_s\":%.6f,\"warm_mean_s\":%.6f,\"warm_p95_s\":%.6f,\"warm_req_per_s\":%.1f,\"all_ok\":%b}"
+             rate cold_m warm_m warm_p rps ok)
          measured)
   in
   let json =
@@ -1293,7 +1225,7 @@ let faults () =
    Clients are closed-loop with an explicit think time (set to ~2x the
    measured warm service time, clamped to [1ms, 20ms]): request
    execution is intentionally serialized on the server's main domain
-   (one bounded scheduler over shared Pool/Supervisor/Store), so with
+   (one bounded scheduler over the shared Store), so with
    zero think time N clients cannot beat one — concurrency pays off
    exactly when clients spend time between requests, which is what real
    callers do.  With think time t and service time s, one client caps at
@@ -1355,7 +1287,6 @@ let net () =
   let strip line =
     line
     |> strip_to '}' "\"store\":{"
-    |> strip_to '}' "\"pool\":{"
     |> strip_to ']' "\"diagnostics\":["
   in
   let with_stdin_session f =

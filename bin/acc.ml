@@ -25,8 +25,6 @@
 open Cmdliner
 module Driver = Autocorres.Driver
 module Diag = Autocorres.Diag
-module Pool = Autocorres.Pool
-module Supervisor = Autocorres.Supervisor
 module Faults = Autocorres.Faults
 module Store = Ac_store.Store
 module Obs = Ac_obs.Obs
@@ -34,9 +32,8 @@ module Metrics = Ac_obs.Metrics
 module Effort = Ac_obs.Effort
 
 (* Monotonic wall clock for serve's watchdog: must not jump when the
-   system clock is stepped.  Shared with [Supervisor.timed] and the
-   store-lock backoff — one clock for every deadline in the service
-   path. *)
+   system clock is stepped.  Shared with the store-lock backoff — one
+   clock for every deadline in the service path. *)
 let mono_s = Autocorres.Profile.mono_s
 
 (* Usage errors: one-line diagnostic on stderr, exit 2. *)
@@ -79,7 +76,7 @@ let read_file path =
   | exception Sys_error m -> usage_error "acc: %s" m
 
 let options_of ?(no_discharge = false) ?(no_interproc = false) ?(keep_going = false)
-    ?(budgets = Driver.default_budgets) ?(jobs = 1) ~no_heap ~no_word ~keep_low () =
+    ?(budgets = Driver.default_budgets) ~no_heap ~no_word ~keep_low () =
   {
     Driver.defaults =
       {
@@ -101,7 +98,6 @@ let options_of ?(no_discharge = false) ?(no_interproc = false) ?(keep_going = fa
     polish = true;
     keep_going;
     budgets;
-    jobs = max 1 jobs;
     interproc = not no_interproc;
     summary_profile = false;
   }
@@ -168,7 +164,7 @@ let trace_arg =
     & info [ "trace" ] ~docv:"FILE"
         ~doc:
           "Record a structured trace of the run (per-function pipeline phases, \
-           pool/supervisor events, store I/O, serve request lifecycle) and \
+           store I/O, serve request lifecycle) and \
            write it to $(docv) on exit.  Chrome trace_event JSON by default \
            (open in about:tracing or Perfetto); see --trace-format.  Output \
            bytes are identical with or without tracing.")
@@ -238,15 +234,6 @@ let keep_going =
           "Fault isolation: degrade failing functions to their last certified \
            level (WA, HL, L2, L1, Simpl-only) and keep translating the rest of \
            the unit.  Exit 1 when any function fell below L2.")
-
-let jobs =
-  Arg.(
-    value & opt int 1
-    & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:
-          "Translate functions on $(docv) worker domains.  Output is \
-           byte-identical to sequential mode at any value: results keep \
-           input order and the first failure (in input order) wins.")
 
 let diag_json =
   Arg.(
@@ -351,8 +338,8 @@ let with_funcs res func_filter f =
 
 (* Front-end errors carry positions; render them the way compilers do, on
    stderr, and exit 2 (a problem with the input, not a finding). *)
-let run_frontend ?store ?pool ?fresh_tables ~file ~options source =
-  try Driver.run ~options ?store ?pool ?fresh_tables source with
+let run_frontend ?store ?fresh_tables ~file ~options source =
+  try Driver.run ~options ?store ?fresh_tables source with
   | Ac_cfront.Lexer.Lex_error (m, pos) ->
     usage_error "%s:%d:%d: lexical error: %s" file pos.Ac_cfront.Ast.line pos.Ac_cfront.Ast.col m
   | Ac_cfront.Parser.Parse_error (m, pos) ->
@@ -376,17 +363,16 @@ let result_json ~file (res : Driver.result) : string =
         res.Driver.degraded
   in
   Printf.sprintf
-    "{\"file\":\"%s\",\"functions\":[%s],\"budget_exhaustions\":%d,\"store\":{\"hits\":%d,\"misses\":%d},\"pool\":{\"retries\":%d,\"quarantined\":%d,\"restarts\":%d},\"diagnostics\":%s}"
+    "{\"file\":\"%s\",\"functions\":[%s],\"budget_exhaustions\":%d,\"store\":{\"hits\":%d,\"misses\":%d},\"diagnostics\":%s}"
     (Diag.json_escape file) (String.concat "," funcs) res.Driver.budget_hits
-    res.Driver.store_hits res.Driver.store_misses res.Driver.retries
-    res.Driver.quarantined res.Driver.restarts
+    res.Driver.store_hits res.Driver.store_misses
     (Diag.list_to_json res.Driver.diags)
 
 let translate files no_heap no_word no_discharge no_interproc keep_low stage func_filter
-    keep_going diag_json budgets jobs store_dir no_store trace trace_format =
+    keep_going diag_json budgets store_dir no_store trace trace_format =
   setup_trace trace trace_format;
   let options =
-    options_of ~no_discharge ~no_interproc ~keep_going ~budgets ~jobs ~no_heap ~no_word
+    options_of ~no_discharge ~no_interproc ~keep_going ~budgets ~no_heap ~no_word
       ~keep_low ()
   in
   let store = store_of ~store_dir ~no_store in
@@ -422,11 +408,11 @@ let translate files no_heap no_word no_discharge no_interproc keep_low stage fun
   if !any_degraded then exit 1
 
 let check file no_heap no_word no_discharge no_interproc keep_low keep_going budgets
-    cases jobs uncached store_dir no_store trace trace_format =
+    cases uncached store_dir no_store trace trace_format =
   setup_trace trace trace_format;
   let source = read_file file in
   let options =
-    options_of ~no_discharge ~no_interproc ~keep_going ~budgets ~jobs ~no_heap ~no_word
+    options_of ~no_discharge ~no_interproc ~keep_going ~budgets ~no_heap ~no_word
       ~keep_low ()
   in
   let store = store_of ~store_dir ~no_store in
@@ -463,14 +449,13 @@ let check file no_heap no_word no_discharge no_interproc keep_low keep_going bud
   end;
   if store_problems <> [] then exit 1
 
-let stats file profile profile_json jobs store_dir no_store =
+let stats file profile profile_json store_dir no_store =
   let source = read_file file in
   (* Run the front end once under [run_frontend] so lexical/parse/type
      errors render compiler-style and exit 2 before measuring. *)
   let options =
     { Driver.default_options with
       Driver.keep_going = true;
-      jobs = max 1 jobs;
       (* The summary columns cost two extra analysis passes per function,
          so they are only measured when the profile is requested. *)
       summary_profile = profile || profile_json }
@@ -509,8 +494,6 @@ let stats file profile profile_json jobs store_dir no_store =
       end;
       Printf.printf "\nstore: %d hits, %d misses\n" res.Driver.store_hits
         res.Driver.store_misses;
-      Printf.printf "pool: %d retries, %d quarantined, %d restarts\n"
-        res.Driver.retries res.Driver.quarantined res.Driver.restarts;
       (* Where the kernel's work went: rule applications, chain shapes,
          and which pass paid for each discharged guard. *)
       let total = Effort.total_applications () in
@@ -567,11 +550,9 @@ let print_finding ~file ~severity (f : Ac_analysis.finding) =
    executions would dereference NULL, divide by zero, ... — likely UB) plus
    possibly-uninitialised reads, with positions from the front end.  Exit 1
    when there are findings, 0 otherwise. *)
-let lint file no_heap no_word no_interproc keep_low jobs store_dir no_store =
+let lint file no_heap no_word no_interproc keep_low store_dir no_store =
   let source = read_file file in
-  let options =
-    options_of ~no_interproc ~keep_going:true ~jobs ~no_heap ~no_word ~keep_low ()
-  in
+  let options = options_of ~no_interproc ~keep_going:true ~no_heap ~no_word ~keep_low () in
   let store = store_of ~store_dir ~no_store in
   let res = run_frontend ?store ~file ~options source in
   let lenv = res.Driver.ctx.Ac_kernel.Rules.lenv in
@@ -589,9 +570,9 @@ let lint file no_heap no_word no_interproc keep_low jobs store_dir no_store =
     let tprog = Ac_cfront.Typecheck.parse_and_check source in
     List.concat_map Ac_analysis.uninit_findings tprog.Ac_cfront.Tir.tp_funcs
   in
-  (* Deterministic output order at any --jobs value, and no duplicates when
-     a degradation retry re-analysed a function: sort by position, then
-     guard kind, then function. *)
+  (* Deterministic output order, and no duplicates when a degradation
+     retry re-analysed a function: sort by position, then guard kind,
+     then function. *)
   let findings = Ac_analysis.sort_findings (guard_findings @ uninit_findings) in
   List.iter (print_finding ~file ~severity:Diag.Warning) findings;
   if findings <> [] then exit 1;
@@ -604,13 +585,12 @@ let lint file no_heap no_word no_interproc keep_low jobs store_dir no_store =
    residual (neither: the proof obligation the verification engineer
    keeps).  Exit 0 when nothing was refuted, 1 on refuted findings,
    2 on input/internal errors. *)
-let analyze file no_heap no_word no_interproc keep_low budgets jobs json store_dir
-    no_store trace trace_format =
+let analyze file no_heap no_word no_interproc keep_low budgets json store_dir no_store
+    trace trace_format =
   setup_trace trace trace_format;
   let source = read_file file in
   let options =
-    options_of ~no_interproc ~keep_going:true ~budgets ~jobs ~no_heap ~no_word ~keep_low
-      ()
+    options_of ~no_interproc ~keep_going:true ~budgets ~no_heap ~no_word ~keep_low ()
   in
   let store = store_of ~store_dir ~no_store in
   let res = run_frontend ?store ~file ~options source in
@@ -682,15 +662,12 @@ let analyze file no_heap no_word no_interproc keep_low budgets jobs json store_d
 (* `acc serve`: a long-lived batch mode.  Requests are newline-delimited
    on stdin — `translate FILE`, `check FILE`, `lint FILE` or `status` —
    and each produces exactly one JSON response line on stdout, in request
-   order.  The proof store, the worker pool and the hash-consing tables
-   stay warm across requests, so a serve session amortises everything a
-   one-shot invocation pays per run.  A bad request never kills the
-   session (the response carries "ok":false); EOF ends it.
+   order.  The proof store and the hash-consing tables stay warm across
+   requests, so a serve session amortises everything a one-shot
+   invocation pays per run.  A bad request never kills the session (the
+   response carries "ok":false); EOF ends it.
 
-   Hardening (this PR): the session is meant to run for days —
-     - pool maps run under one shared [Supervisor]: a crashed worker
-       domain is respawned and the lost item retried or quarantined, so
-       a request never loses a function result;
+   Hardening: the session is meant to run for days —
      - `--request-timeout SECS` bounds each request via the existing
        budget plumbing (solver/analysis deadlines) plus a monotonic-clock
        watchdog that *counts* overruns (`requests_over_deadline`) —
@@ -702,7 +679,7 @@ let analyze file no_heap no_word no_interproc keep_low budgets jobs json store_d
      - `--inject SPEC` (or $ACC_FAULTS) turns on the deterministic
        fault-injection harness for soak testing.
 
-   Socket mode (this PR): `--socket PATH` (and/or `--tcp PORT` on
+   Socket mode: `--socket PATH` (and/or `--tcp PORT` on
    localhost) serves the same request grammar to many concurrent
    clients at once, each connection newline-framed exactly like stdin;
    all connections feed one bounded scheduler (see Ac_serve.Server for
@@ -710,7 +687,7 @@ let analyze file no_heap no_word no_interproc keep_low budgets jobs json store_d
    [handle_line] below — one request-handling core, so a response is
    byte-identical whichever transport carried it.  `--connect PATH`
    turns the binary into a pipelining line client for shell scripts. *)
-let serve jobs request_timeout inject store_dir no_store socket_path tcp_port
+let serve request_timeout inject store_dir no_store socket_path tcp_port
     max_inflight connect_path trace trace_format metrics_port flight_recorder
     flight_dump_path slow_ms slow_log =
   (match connect_path with
@@ -751,7 +728,6 @@ let serve jobs request_timeout inject store_dir no_store socket_path tcp_port
     Ac_kernel.Thm.set_obs_hook (Some Effort.on_rule);
     Effort.set_enabled true
   end;
-  let jobs = max 1 jobs in
   (match inject with
   | None -> ()
   | Some spec -> (
@@ -759,9 +735,6 @@ let serve jobs request_timeout inject store_dir no_store socket_path tcp_port
     | Ok cfg -> Faults.install cfg
     | Error m -> usage_error "acc serve: %s" m));
   let store = store_of ~store_dir ~no_store in
-  let pool = if jobs > 1 then Some (Pool.create ~jobs) else None in
-  let sup = Supervisor.create ?task_deadline_s:request_timeout () in
-  Fun.protect ~finally:(fun () -> Option.iter Pool.shutdown pool) @@ fun () ->
   let budgets =
     (* The request timeout rides the existing budget plumbing: the
        unbounded engines already know how to stop at a deadline and
@@ -774,8 +747,7 @@ let serve jobs request_timeout inject store_dir no_store socket_path tcp_port
         analysis_deadline_s = Some t }
   in
   let options =
-    options_of ~keep_going:true ~budgets ~jobs ~no_heap:false ~no_word:false
-      ~keep_low:[] ()
+    options_of ~keep_going:true ~budgets ~no_heap:false ~no_word:false ~keep_low:[] ()
   in
   let started = mono_s () in
   (* Session counters live in the metrics registry (one source of truth
@@ -789,9 +761,6 @@ let serve jobs request_timeout inject store_dir no_store socket_path tcp_port
   let m_shed = Metrics.counter "serve.shed" in
   let m_store_hits = Metrics.counter "serve.store_hits" in
   let m_store_misses = Metrics.counter "serve.store_misses" in
-  let m_retries = Metrics.counter "serve.retries" in
-  let m_quarantined = Metrics.counter "serve.quarantined" in
-  let m_restarts = Metrics.counter "serve.worker_restarts" in
   let h_latency = Metrics.histogram "serve.request_latency_s" in
   (* Mirror of [Obs.dropped] (events lost to buffer caps or ring
      overwrites), refreshed before every exposition so the scrape and
@@ -847,7 +816,6 @@ let serve jobs request_timeout inject store_dir no_store socket_path tcp_port
        bumped [failures] but not [requests], so a status probe could
        report more failures than requests. *)
   let status_json () =
-    let s = Supervisor.stats sup in
     let sched =
       match !sched_stats with
       | None -> ""
@@ -874,13 +842,11 @@ let serve jobs request_timeout inject store_dir no_store socket_path tcp_port
        prefix. *)
     let dropped = Printf.sprintf ",\"dropped\":%d" (Obs.dropped ()) in
     Printf.sprintf
-      "{\"ok\":true,\"cmd\":\"status\",\"uptime_s\":%.3f,\"requests\":%d,\"failures\":%d,\"degraded\":%d,\"retries\":%d,\"quarantined\":%d,\"worker_restarts\":%d,\"worker_crashes\":%d,\"deadline_blown\":%d,\"requests_over_deadline\":%d,\"store\":{\"hits\":%d,\"misses\":%d},\"faults_active\":%b,\"shutting_down\":%b%s%s%s}"
+      "{\"ok\":true,\"cmd\":\"status\",\"uptime_s\":%.3f,\"requests\":%d,\"failures\":%d,\"degraded\":%d,\"requests_over_deadline\":%d,\"store\":{\"hits\":%d,\"misses\":%d},\"faults_active\":%b,\"shutting_down\":%b%s%s%s}"
       (mono_s () -. started)
       (Metrics.counter_value m_requests)
       (Metrics.counter_value m_failures)
       (Metrics.counter_value m_degraded)
-      s.Supervisor.retries s.Supervisor.quarantined s.Supervisor.restarts
-      s.Supervisor.crashes s.Supervisor.deadline_blown
       (Metrics.counter_value m_over_deadline)
       (match store with Some st -> Store.hits st | None -> 0)
       (match store with Some st -> Store.misses st | None -> 0)
@@ -904,7 +870,6 @@ let serve jobs request_timeout inject store_dir no_store socket_path tcp_port
      scheduler's execute-one), so plain refs are race-free. *)
   let req_store_hits = ref 0 in
   let req_store_misses = ref 0 in
-  let req_retries = ref 0 in
   let req_degraded = ref 0 in
   let req_overrun = ref false in
   let handle_line ?(queued_s = 0.) line : string =
@@ -912,7 +877,6 @@ let serve jobs request_timeout inject store_dir no_store socket_path tcp_port
     let rid_n = Metrics.counter_value m_requests in
     req_store_hits := 0;
     req_store_misses := 0;
-    req_retries := 0;
     req_degraded := 0;
     req_overrun := false;
     let t0 = mono_s () in
@@ -937,8 +901,7 @@ let serve jobs request_timeout inject store_dir no_store socket_path tcp_port
             Faults.sleep_if_slow ();
             let t0 = mono_s () in
             let res =
-              Driver.run ~options ?store ?pool ~supervisor:sup ~fresh_tables:false
-                (read_source file)
+              Driver.run ~options ?store ~fresh_tables:false (read_source file)
             in
             (* The after-the-fact half of the watchdog: the budget deadlines
                bound the engines from inside, this counts requests that
@@ -953,16 +916,12 @@ let serve jobs request_timeout inject store_dir no_store socket_path tcp_port
               maybe_dump_flight ()
             | _ -> ());
             Metrics.add m_degraded (List.length res.Driver.degraded);
-            (* Per-request store/supervision activity, via the counters the
-               driver already aggregates for this run. *)
+            (* Per-request store activity, via the counters the driver
+               already aggregates for this run. *)
             Metrics.add m_store_hits res.Driver.store_hits;
             Metrics.add m_store_misses res.Driver.store_misses;
-            Metrics.add m_retries res.Driver.retries;
-            Metrics.add m_quarantined res.Driver.quarantined;
-            Metrics.add m_restarts res.Driver.restarts;
             req_store_hits := res.Driver.store_hits;
             req_store_misses := res.Driver.store_misses;
-            req_retries := res.Driver.retries;
             req_degraded := List.length res.Driver.degraded;
             res
           in
@@ -1031,9 +990,9 @@ let serve jobs request_timeout inject store_dir no_store socket_path tcp_port
       in
       let oc = Lazy.force oc in
       Printf.fprintf oc
-        "{\"rid\":%d,\"verb\":\"%s\",\"latency_ms\":%.3f,\"queue_ms\":%.3f,\"store_hits\":%d,\"store_misses\":%d,\"retries\":%d,\"degraded\":%d,\"over_deadline\":%b}\n"
+        "{\"rid\":%d,\"verb\":\"%s\",\"latency_ms\":%.3f,\"queue_ms\":%.3f,\"store_hits\":%d,\"store_misses\":%d,\"degraded\":%d,\"over_deadline\":%b}\n"
         rid_n (Diag.json_escape verb) (1000. *. dur) (1000. *. queued_s)
-        !req_store_hits !req_store_misses !req_retries !req_degraded !req_overrun;
+        !req_store_hits !req_store_misses !req_degraded !req_overrun;
       flush oc
     | _ -> ());
     resp
@@ -1107,9 +1066,9 @@ let serve jobs request_timeout inject store_dir no_store socket_path tcp_port
       Metrics.to_openmetrics () ^ Effort.to_openmetrics () ^ "# EOF\n"
     in
     let readyz () =
-      (* Ready = willing and able to take a request: not draining, the
-         store lock reachable (a wedged lock blocks every store path),
-         and no worker domain dead without a respawn. *)
+      (* Ready = willing and able to take a request: not draining and
+         the store lock reachable (a wedged lock blocks every store
+         path). *)
       if Atomic.get shutting then Error "draining"
       else
         let store_ok =
@@ -1123,12 +1082,7 @@ let serve jobs request_timeout inject store_dir no_store socket_path tcp_port
             | ok -> ok
             | exception _ -> false)
         in
-        if not store_ok then Error "store lock unreachable"
-        else
-          let s = Supervisor.stats sup in
-          if s.Supervisor.crashes > s.Supervisor.restarts then
-            Error "worker pool degraded"
-          else Ok ()
+        if not store_ok then Error "store lock unreachable" else Ok ()
     in
     let http path =
       match path with
@@ -1322,7 +1276,7 @@ let validate_trace path =
   Printf.printf "%s: OK: %d events, %d threads\n" path (List.length events)
     (Hashtbl.length tids)
 
-let trace_run files out format jobs validate =
+let trace_run files out format validate =
   match validate with
   | Some tpath -> validate_trace tpath
   | None ->
@@ -1335,7 +1289,7 @@ let trace_run files out format jobs validate =
     in
     Obs.set_enabled true;
     let options =
-      options_of ~keep_going:true ~jobs ~no_heap:false ~no_word:false ~keep_low:[] ()
+      options_of ~keep_going:true ~no_heap:false ~no_word:false ~keep_low:[] ()
     in
     let funcs = ref 0 in
     List.iter
@@ -1357,13 +1311,11 @@ let trace_run files out format jobs validate =
    observation hook is installed HERE, from outside the kernel; the
    translation output itself is byte-identical to an unhooked run (ci.sh
    asserts it). *)
-let effort_run files json jobs store_dir no_store =
+let effort_run files json store_dir no_store =
   if files = [] then usage_error "acc effort: no input files";
   Ac_kernel.Thm.set_obs_hook (Some Effort.on_rule);
   Effort.set_enabled true;
-  let options =
-    options_of ~keep_going:true ~jobs ~no_heap:false ~no_word:false ~keep_low:[] ()
-  in
+  let options = options_of ~keep_going:true ~no_heap:false ~no_word:false ~keep_low:[] () in
   let store = store_of ~store_dir ~no_store in
   List.iter
     (fun file ->
@@ -1400,10 +1352,10 @@ let translate_cmd =
     (Cmd.info "translate" ~doc:"Abstract a C file and print the result")
     (protected
        Term.(
-         const (fun a b c d e f g h i j k l m n o p () ->
-             translate a b c d e f g h i j k l m n o p)
+         const (fun a b c d e f g h i j k l m n o () ->
+             translate a b c d e f g h i j k l m n o)
          $ files_arg $ no_heap $ no_word $ no_discharge $ no_interproc $ keep_low $ stage
-         $ func_filter $ keep_going $ diag_json $ budgets_term $ jobs $ store_dir_arg
+         $ func_filter $ keep_going $ diag_json $ budgets_term $ store_dir_arg
          $ no_store_arg $ trace_arg $ trace_format_arg))
 
 let check_cmd =
@@ -1423,10 +1375,10 @@ let check_cmd =
     (Cmd.info "check" ~doc:"Re-validate derivations and differential-test the abstraction")
     (protected
        Term.(
-         const (fun a b c d e f g h i j k l m n o () ->
-             check a b c d e f g h i j k l m n o)
+         const (fun a b c d e f g h i j k l m n () ->
+             check a b c d e f g h i j k l m n)
          $ file_arg $ no_heap $ no_word $ no_discharge $ no_interproc $ keep_low
-         $ keep_going $ budgets_term $ cases $ jobs $ uncached $ store_dir_arg
+         $ keep_going $ budgets_term $ cases $ uncached $ store_dir_arg
          $ no_store_arg $ trace_arg $ trace_format_arg))
 
 let stats_cmd =
@@ -1435,8 +1387,7 @@ let stats_cmd =
       value & flag
       & info [ "profile" ]
           ~doc:
-            "Also print per-phase wall-clock and allocation counters \
-             (cumulative across worker domains)")
+            "Also print per-phase wall-clock and allocation counters")
   in
   let profile_json =
     Arg.(
@@ -1448,8 +1399,8 @@ let stats_cmd =
     (Cmd.info "stats" ~doc:"Pipeline statistics (Table 5 metrics)")
     (protected
        Term.(
-         const (fun a b c d e f () -> stats a b c d e f)
-         $ file_arg $ profile $ profile_json $ jobs $ store_dir_arg $ no_store_arg))
+         const (fun a b c d e () -> stats a b c d e)
+         $ file_arg $ profile $ profile_json $ store_dir_arg $ no_store_arg))
 
 let lint_cmd =
   Cmd.v
@@ -1457,8 +1408,8 @@ let lint_cmd =
        ~doc:"Report statically refutable UB guards and uninitialised reads")
     (protected
        Term.(
-         const (fun a b c d e f g h () -> lint a b c d e f g h)
-         $ file_arg $ no_heap $ no_word $ no_interproc $ keep_low $ jobs $ store_dir_arg
+         const (fun a b c d e f g () -> lint a b c d e f g)
+         $ file_arg $ no_heap $ no_word $ no_interproc $ keep_low $ store_dir_arg
          $ no_store_arg))
 
 let analyze_cmd =
@@ -1479,9 +1430,9 @@ let analyze_cmd =
           nothing is refuted, 1 on refuted findings, 2 on input errors.")
     (protected
        Term.(
-         const (fun a b c d e f g h i j k l () -> analyze a b c d e f g h i j k l)
-         $ file_arg $ no_heap $ no_word $ no_interproc $ keep_low $ budgets_term $ jobs
-         $ json $ store_dir_arg $ no_store_arg $ trace_arg $ trace_format_arg))
+         const (fun a b c d e f g h i j k () -> analyze a b c d e f g h i j k)
+         $ file_arg $ no_heap $ no_word $ no_interproc $ keep_low $ budgets_term $ json
+         $ store_dir_arg $ no_store_arg $ trace_arg $ trace_format_arg))
 
 let serve_cmd =
   let request_timeout =
@@ -1502,7 +1453,7 @@ let serve_cmd =
       & info [ "inject" ] ~docv:"SPEC"
           ~doc:
             "Deterministic fault injection for soak testing, e.g. \
-             'io_error:0.05,worker_crash:0.02,slow:0.01,seed:42'.  Overrides \
+             'io_error:0.05,slow:0.01,seed:42'.  Overrides \
              \\$ACC_FAULTS.")
   in
   let socket_arg =
@@ -1555,7 +1506,7 @@ let serve_cmd =
             "Serve an OpenMetrics/Prometheus scrape endpoint on \
              127.0.0.1:$(docv): GET /metrics (counters, gauges, latency \
              histograms, proof-effort series), /healthz (liveness), /readyz \
-             (store lock reachable, worker pool healthy).  Handled by the \
+             (not draining, store lock reachable).  Handled by the \
              same select loop as request traffic — request output stays \
              byte-identical whether or not anyone scrapes.  Socket mode \
              only.")
@@ -1589,7 +1540,7 @@ let serve_cmd =
           ~doc:
             "Slow-request threshold: requests taking longer than $(docv) \
              milliseconds append a structured JSONL record (rid, verb, \
-             latency, queue wait, store hits/misses, retries) to the \
+             latency, queue wait, store hits/misses, degraded) to the \
              --slow-log file (default 1000 when only --slow-log is given)")
   in
   let slow_log_arg =
@@ -1607,15 +1558,14 @@ let serve_cmd =
          "Long-lived batch mode: read newline-delimited requests (translate FILE, \
           check FILE, lint FILE, status) from stdin — or from many concurrent \
           socket clients with --socket/--tcp — and answer each with one JSON \
-          line, keeping the proof store, worker pool and hash-cons tables warm.  \
-          Supervised: crashed worker domains are respawned and their tasks \
-          retried or quarantined; SIGINT/SIGTERM drain in-flight requests \
-          across all connections and exit 0.")
+          line, keeping the proof store and hash-cons tables warm.  \
+          SIGINT/SIGTERM drain in-flight requests across all connections and \
+          exit 0.")
     (protected
        Term.(
-         const (fun a b c d e f g h i j k l m n o p () ->
-             serve a b c d e f g h i j k l m n o p)
-         $ jobs $ request_timeout $ inject $ store_dir_arg $ no_store_arg
+         const (fun a b c d e f g h i j k l m n o () ->
+             serve a b c d e f g h i j k l m n o)
+         $ request_timeout $ inject $ store_dir_arg $ no_store_arg
          $ socket_arg $ tcp_arg $ max_inflight_arg $ connect_arg $ trace_arg
          $ trace_format_arg $ metrics_port_arg $ flight_recorder_arg
          $ flight_dump_arg $ slow_ms_arg $ slow_log_arg))
@@ -1648,9 +1598,9 @@ let trace_cmd =
           of the translated program.")
     (protected
        Term.(
-         const (fun a b c d e () -> trace_run a b c d e)
+         const (fun a b c d () -> trace_run a b c d)
          $ Arg.(value & pos_all string [] & info [] ~docv:"FILE" ~doc:"C source file(s)")
-         $ out_arg $ trace_format_arg $ jobs $ validate_arg))
+         $ out_arg $ trace_format_arg $ validate_arg))
 
 let effort_cmd =
   let json =
@@ -1671,9 +1621,9 @@ let effort_cmd =
           translation output is byte-identical to an unobserved run.")
     (protected
        Term.(
-         const (fun a b c d e () -> effort_run a b c d e)
+         const (fun a b c d () -> effort_run a b c d)
          $ Arg.(value & pos_all string [] & info [] ~docv:"FILE" ~doc:"C source file(s)")
-         $ json $ jobs $ store_dir_arg $ no_store_arg))
+         $ json $ store_dir_arg $ no_store_arg))
 
 let cache_cmd =
   let action =

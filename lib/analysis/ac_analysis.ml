@@ -337,8 +337,7 @@ let kind_rank (k : Ir.guard_kind option) : int =
 (* Sort findings by (line, col, guard kind, function, message) — findings
    without a source position last — and drop exact duplicates (budget
    degradation can re-lint a function and repeat its findings).  Callers
-   group by file, so this fixes the order within each file regardless of
-   [--jobs] scheduling. *)
+   group by file, so this fixes the order within each file. *)
 let sort_findings (fs : finding list) : finding list =
   let key f =
     let l, c =

@@ -10,7 +10,7 @@ module SSet = Set.Make (String)
    lists keep first-occurrence order, and Tarjan's emission order is a
    function of those — so the bottom-up summary fixpoint, the store's
    cone keys and the per-function certificate restriction are all stable
-   across runs and across [--jobs] levels. *)
+   across runs. *)
 
 type t = {
   nodes : string list; (* insertion order *)

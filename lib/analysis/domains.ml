@@ -57,7 +57,7 @@ let fixpoint_solver ?(on_guard = fun _ _ _ -> ()) ?(sums = []) ?(on_call = fun _
   let muted = ref false in
   let steps = ref 0 in
   let spent = ref false in
-  (* Wall clock (see Solver): CPU time races ahead under parallel workers. *)
+  (* Wall clock (see Solver): the deadline bounds elapsed time. *)
   let deadline = Option.map (fun d -> Unix.gettimeofday () +. d) !budget.deadline_s in
   let out_of_budget () =
     !spent

@@ -83,8 +83,7 @@ let compute (lenv : Layout.env) (fs : M.func list) :
   let ctxs : (string, A.vdom list list) Hashtbl.t = Hashtbl.create 16 in
   List.iter (fun f -> Hashtbl.replace ctxs f.M.name [ base_args f ]) fs;
   (* Call-site argument domains observed during the latest recompute, in
-     walk order (compute is sequential, so this is deterministic and
-     independent of [--jobs]). *)
+     walk order (compute is sequential, so this is deterministic). *)
   let calls : (string * A.vdom list) list ref = ref [] in
   let on_call g argds = calls := (g, argds) :: !calls in
   let recompute () : A.sums =

@@ -77,11 +77,6 @@ type options = {
      [Diag.Error] at the first non-recoverable per-function failure. *)
   keep_going : bool;
   budgets : budgets;
-  (* Worker domains for the per-function phases (the calling domain
-     counts).  1 = fully sequential.  Output is deterministic at any
-     value: [Pool.map] preserves input order and first-failure
-     semantics. *)
-  jobs : int;
   (* Interprocedural guard discharge: compute per-function summaries
      bottom-up over the call graph and let the analysis carry facts
      across calls (every discharge still goes through the kernel, which
@@ -97,8 +92,8 @@ type options = {
 
 let default_options =
   { defaults = default_func_options; overrides = []; strategy = Wa.default_strategy;
-    polish = true; keep_going = false; budgets = default_budgets; jobs = 1;
-    interproc = true; summary_profile = false }
+    polish = true; keep_going = false; budgets = default_budgets; interproc = true;
+    summary_profile = false }
 
 let options_for options fname =
   match List.assoc_opt fname options.overrides with
@@ -108,9 +103,7 @@ let options_for options fname =
 (* The per-function option vector rendered for the proof store's content
    key: every knob that can change what the pipeline produces for one
    function must appear here, so flipping any of them misses the store
-   instead of replaying a result computed under different settings.
-   [jobs] is deliberately absent — it changes scheduling and cost, never
-   output. *)
+   instead of replaying a result computed under different settings. *)
 let opt_string (options : options) (fname : string) : string =
   let o = options_for options fname in
   let b = options.budgets in
@@ -201,9 +194,6 @@ type result = {
   heap_types : Ty.cty list;
   store_hits : int; (* store entries used by this run (0 without a store) *)
   store_misses : int; (* functions translated from scratch despite a store *)
-  retries : int; (* lost pool items re-attempted by the supervisor *)
-  quarantined : int; (* items re-run masked after repeated worker crashes *)
-  restarts : int; (* worker domains respawned during this run *)
   sums : Ac_kernel.Absdom.sums;
       (* the kernel-checkable summary table this run's certificates drew
          from ([] when [interproc] is off); `acc analyze` reuses it *)
@@ -250,11 +240,9 @@ let reset_budget_counters () =
 (* Fault isolation. *)
 
 (* The function a phase is currently processing; the fault-injection
-   harness reads this to target failures at one function.  Domain-local:
-   under [options.jobs > 1] each worker processes its own function, and
-   the injection hooks run on the worker's domain. *)
-let processing_key : string option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-let processing () = Domain.DLS.get processing_key
+   harness reads this to target failures at one function. *)
+let processing_fn : string option ref = ref None
+let processing () = !processing_fn
 
 (* Run one phase for one function.  Any escaping exception becomes a
    structured diagnostic: recorded (and the phase skipped) when the
@@ -263,9 +251,9 @@ let processing () = Domain.DLS.get processing_key
    already structured and already decided. *)
 let attempt ~(keep_going : bool) ~(phase : Diag.phase) ~(fname : string)
     ~(recoverable : bool) (diags : Diag.t list ref) (f : unit -> 'a) : 'a option =
-  let was = Domain.DLS.get processing_key in
-  Domain.DLS.set processing_key (Some fname);
-  let restore () = Domain.DLS.set processing_key was in
+  let was = !processing_fn in
+  processing_fn := Some fname;
+  let restore () = processing_fn := was in
   match f () with
   | v ->
     restore ();
@@ -443,43 +431,17 @@ let replay_entry (ctx : Rules.ctx) ~(sums_digest : string) (f : Ir.func) (e : St
     end
   end
 
-let run ?(options = default_options) ?store ?pool:ext_pool ?supervisor
-    ?(fresh_tables = true) (source : string) : result =
+let run ?(options = default_options) ?store ?(fresh_tables = true) (source : string) :
+    result =
   Ac_obs.Obs.span ~cat:"driver" "driver.run" @@ fun () ->
   install_budgets options.budgets;
   reset_budget_counters ();
-  (* Per-run invalidation of the hash-cons intern table (worker domains
-     get fresh domain-local tables and drop them at join).  A batch server
-     passes [~fresh_tables:false] to keep the tables warm across
+  (* Per-run invalidation of the hash-cons intern table.  A batch server
+     passes [~fresh_tables:false] to keep the table warm across
      requests. *)
   if fresh_tables then Ac_prover.Term.hc_clear ();
   Profile.reset ();
-  (* One persistent pool per run: worker domains are spawned here once and
-     reused by every per-function phase (spawning per phase costs more than
-     a whole phase on small units).  Cap at the hardware like any thread
-     pool — extra domains on a saturated machine only add stop-the-world
-     GC synchronisation.  A caller-supplied pool ([?pool]) is used as-is
-     and left running, so a batch server amortises the spawn across
-     requests. *)
-  let jobs = min (max 1 options.jobs) (Domain.recommended_domain_count ()) in
-  let pool =
-    match ext_pool with
-    | Some _ -> ext_pool
-    | None -> if jobs > 1 then Some (Pool.create ~jobs) else None
-  in
-  Fun.protect
-    ~finally:(fun () -> if Option.is_none ext_pool then Option.iter Pool.shutdown pool)
-  @@ fun () ->
   let keep_going = options.keep_going in
-  (* Per-function phases run on the pool under supervision; order and
-     first-failure semantics match the sequential [List.map], and a
-     worker-domain crash never loses a function result — the supervisor
-     respawns workers and retries (or quarantines) the lost items.  A
-     caller-supplied supervisor ([?supervisor]) lets a batch server
-     accumulate retry/quarantine counters across requests. *)
-  let sup = match supervisor with Some s -> s | None -> Supervisor.create () in
-  let sup_base = Supervisor.stats sup in
-  let pmap f xs = Supervisor.map sup ?pool f xs in
   let simpl = Profile.record "parse" (fun () -> Ac_simpl.C2simpl.parse source) in
   let lenv = simpl.Ir.lenv in
   (* Which functions get which treatment. *)
@@ -548,7 +510,7 @@ let run ?(options = default_options) ?store ?pool:ext_pool ?supervisor
   (* L1 for every function translated this run; a failure here degrades
      the function to its Simpl image (the bottom of the ladder). *)
   let l1_results, simpl_only =
-    pmap
+    List.map
       (fun (f : Ir.func) ->
         let diags = ref [] in
         match
@@ -604,9 +566,9 @@ let run ?(options = default_options) ?store ?pool:ext_pool ?supervisor
       attempt ~keep_going ~phase:Diag.L2 ~fname ~recoverable:false diags plain
     else begin
       match
-        let was = Domain.DLS.get processing_key in
-        Domain.DLS.set processing_key (Some fname);
-        Fun.protect ~finally:(fun () -> Domain.DLS.set processing_key was) (fun () ->
+        let was = !processing_fn in
+        processing_fn := Some fname;
+        Fun.protect ~finally:(fun () -> processing_fn := was) (fun () ->
             L2.convert_func ~polish:true ctx l1f)
       with
       | ok -> Some ok
@@ -657,7 +619,7 @@ let run ?(options = default_options) ?store ?pool:ext_pool ?supervisor
      final).  A recursive component iterates from "no member nothrow", the
      least fixpoint's starting point, re-converting only the members with a
      callee whose status changed in the last round. *)
-  let convert_scc (scc, below) =
+  let convert_scc scc below =
     let outs = List.map (fun n -> (n, convert below (Hashtbl.find l1_of n))) scc in
     if not (Ac_analysis.Callgraph.scc_cyclic graph scc) then outs
     else begin
@@ -682,54 +644,28 @@ let run ?(options = default_options) ?store ?pool:ext_pool ?supervisor
       iterate 0 [] outs
     end
   in
-  (* Components grouped by call depth (leaves at 0); the components of one
-     depth call only into lower depths, so each depth converts in parallel
-     and output is identical at any [--jobs]. *)
-  let depth = Hashtbl.create 64 in
-  let by_depth = Hashtbl.create 16 in
-  let max_depth =
-    List.fold_left
-      (fun max_depth scc ->
-        let d =
-          List.fold_left
-            (fun d n ->
-              List.fold_left
-                (fun d g ->
-                  match Hashtbl.find_opt depth g with Some dg -> max d (dg + 1) | None -> d)
-                d
-                (Ac_analysis.Callgraph.successors graph n))
-            0 scc
-        in
-        List.iter (fun n -> Hashtbl.replace depth n d) scc;
-        Hashtbl.replace by_depth d
-          (scc :: Option.value ~default:[] (Hashtbl.find_opt by_depth d));
-        max max_depth d)
-      (-1)
-      (Ac_analysis.Callgraph.sccs graph)
-  in
-  (* name -> (result, emitted diags, nothrow); seeds count as nothrow. *)
+  (* name -> (result, emitted diags, nothrow); seeds count as nothrow.
+     [Callgraph.sccs] emits callees first, so every component is
+     converted after all components it calls into. *)
   let final = Hashtbl.create 64 in
   let is_nothrow g =
     match Hashtbl.find_opt final g with
     | Some (_, _, nothrow) -> nothrow
     | None -> List.mem g seed_nothrows
   in
-  for d = 0 to max_depth do
-    let task scc =
-      ( scc,
+  List.iter
+    (fun scc ->
+      let below =
         List.sort_uniq String.compare
           (List.concat_map
              (fun n ->
                List.filter
                  (fun g -> (not (List.mem g scc)) && is_nothrow g)
                  (Ac_analysis.Callgraph.successors graph n))
-             scc) )
-    in
-    let tasks = List.rev_map task (Option.value ~default:[] (Hashtbl.find_opt by_depth d)) in
-    List.iter
-      (List.iter (fun (n, out) -> Hashtbl.replace final n out))
-      (pmap convert_scc tasks)
-  done;
+             scc)
+      in
+      List.iter (fun (n, out) -> Hashtbl.replace final n out) (convert_scc scc below))
+    (Ac_analysis.Callgraph.sccs graph);
   let nothrows =
     seed_nothrows
     @ List.filter_map
@@ -764,12 +700,11 @@ let run ?(options = default_options) ?store ?pool:ext_pool ?supervisor
      The summary table is computed once per translation attempt,
      sequentially, from the *pre-discharge* L2 images of the whole unit
      (stored [e_l2g] for hits, this run's conversions for misses), so it
-     is deterministic across [--jobs] and identical between cold and
-     warm runs.  The table is an untrusted hint: every certificate that
-     draws on a slice of it re-proves that slice inside the kernel
-     against [Rules.fbodies] (same trust class as [nothrows] — see the
-     summary-trust section of DESIGN.md for why replayed entries may
-     contribute to [fbodies]). *)
+     is identical between cold and warm runs.  The table is an untrusted
+     hint: every certificate that draws on a slice of it re-proves that
+     slice inside the kernel against [Rules.fbodies] (same trust class as
+     [nothrows] — see the summary-trust section of DESIGN.md for why
+     replayed entries may contribute to [fbodies]). *)
   let fbodies : M.func list =
     List.filter_map
       (fun (f : Ir.func) ->
@@ -789,8 +724,7 @@ let run ?(options = default_options) ?store ?pool:ext_pool ?supervisor
   let callgraph = Ac_analysis.Callgraph.of_funcs fbodies in
   (* The slice a function's certificates may draw from: the table
      restricted to its transitive callees (self included on cycles).
-     Its digest is the function's store-key claim component.  Built
-     eagerly so lookups under [pmap] are read-only. *)
+     Its digest is the function's store-key claim component. *)
   let sums_slices =
     List.map
       (fun (fb : M.func) ->
@@ -805,7 +739,7 @@ let run ?(options = default_options) ?store ?pool:ext_pool ?supervisor
   (* Slice digests share the table entries, so stringify each entry once
      (the slices are [restrict]ions of one table: same pairs) instead of
      per cone; equal to [Domains.sums_digest] of the slice by
-     construction.  Eager, like the slices: read-only under [pmap]. *)
+     construction. *)
   let entry_strings =
     List.map (fun entry -> (fst entry, Ac_analysis.Domains.entry_to_string entry)) sums
   in
@@ -820,7 +754,7 @@ let run ?(options = default_options) ?store ?pool:ext_pool ?supervisor
     if not (options.interproc && options.summary_profile) then []
     else
       Profile.record "iprof" (fun () ->
-          pmap
+          List.map
             (fun (fb : M.func) ->
               let intra = Ac_analysis.count_provable lenv ~sums:[] fb.M.body in
               let inter =
@@ -877,7 +811,7 @@ let run ?(options = default_options) ?store ?pool:ext_pool ?supervisor
         | None -> None)
   in
   let l2_results =
-    pmap
+    List.map
       (fun ((sf, l1f, l1_thm, l2f, l2_thm, diags) as row) ->
         if not (options_for options (l2f : M.func).M.name).discharge_guards then row
         else begin
@@ -921,7 +855,7 @@ let run ?(options = default_options) ?store ?pool:ext_pool ?supervisor
   let ctx = { base_ctx with Rules.fsigs = fsigs_for initially_enabled; nothrows } in
   (* HL per function, with graceful fallback to the byte-level model. *)
   let hl_results =
-    pmap
+    List.map
       (fun (sf, l1f, l1_thm, l2f, l2_thm, diags) ->
         let name = (l2f : M.func).M.name in
         let opts = options_for options name in
@@ -968,7 +902,7 @@ let run ?(options = default_options) ?store ?pool:ext_pool ?supervisor
   let rec wa_fix enabled =
     let wa_ctx = { ctx with Rules.fsigs = fsigs_for enabled } in
     let attempts =
-      pmap
+      List.map
         (fun (_, _, _, (l2f : M.func), _, hl, _, diags) ->
           let name = l2f.M.name in
           if not (List.mem name enabled) then (name, None)
@@ -991,7 +925,7 @@ let run ?(options = default_options) ?store ?pool:ext_pool ?supervisor
   let wa_ctx, wa_attempts = wa_fix initially_enabled in
   let ctx = wa_ctx in
   let miss_frs =
-    pmap
+    List.map
       (fun (sf, l1f, l1_thm, l2f, l2_thm, hl, skipped, diags) ->
         let name = (l2f : M.func).M.name in
         let opts = options_for options name in
@@ -1080,7 +1014,7 @@ let run ?(options = default_options) ?store ?pool:ext_pool ?supervisor
      is re-minted through [Thm.by]; failures demote the entry and re-enter
      the translation without it. *)
   let hit_results =
-    pmap
+    List.map
       (fun (f : Ir.func) ->
         let e = List.assoc f.Ir.name entries in
         let r =
@@ -1197,10 +1131,6 @@ let run ?(options = default_options) ?store ?pool:ext_pool ?supervisor
       store_hits = (match store with Some st -> Store.hits st - fst store_base | None -> 0);
       store_misses =
         (match store with Some st -> Store.misses st - snd store_base | None -> 0);
-      retries = (Supervisor.stats sup).Supervisor.retries - sup_base.Supervisor.retries;
-      quarantined =
-        (Supervisor.stats sup).Supervisor.quarantined - sup_base.Supervisor.quarantined;
-      restarts = (Supervisor.stats sup).Supervisor.restarts - sup_base.Supervisor.restarts;
       sums; iprof }
   end
   in

@@ -66,13 +66,6 @@ type options = {
           translating the rest of the unit; off: raise {!Diag.Error} at the
           first non-recoverable per-function failure *)
   budgets : budgets;
-  jobs : int;
-      (** worker domains for the per-function phases (the calling domain
-          counts; 1 = sequential; capped at the hardware's
-          [Domain.recommended_domain_count]).  Any value produces identical
-          output: {!Pool.map_on} preserves input order and first-failure
-          semantics, engine counters are atomic, and per-goal state is
-          domain-local *)
   interproc : bool;
       (** interprocedural guard discharge (default on): compute
           kernel-checkable per-function summaries bottom-up over the call
@@ -168,13 +161,6 @@ type result = {
   store_misses : int;
       (** functions translated from scratch despite a store (includes
           entries demoted after failing replay or validation) *)
-  retries : int;
-      (** pool items lost to worker-domain crashes and re-attempted by the
-          supervisor during this run *)
-  quarantined : int;
-      (** items that kept crashing workers and were re-run in-process with
-          fault injection masked *)
-  restarts : int;  (** worker domains respawned during this run *)
   sums : Ac_kernel.Absdom.sums;
       (** the kernel-checkable summary table this run's certificates drew
           from ([] when {!options.interproc} is off); `acc analyze`
@@ -210,17 +196,6 @@ val budget_exhaustions : unit -> int
     with custom word-abstraction rules ignore the store (closures have no
     stable content key).
 
-    [pool] supplies an external worker pool, used as-is and left running
-    (the batch server amortises domain spawn across requests); without it
-    the run creates and tears down its own pool when [options.jobs > 1].
-
-    [supervisor] supplies the supervisor that oversees the pool maps
-    (crash retry, worker respawn, quarantine — see {!Supervisor}); a
-    batch server passes its own so retry/quarantine counters accumulate
-    across requests.  Without it the run creates a fresh one, whose
-    per-run deltas surface as {!result.retries} / [quarantined] /
-    [restarts].
-
     [fresh_tables] (default [true]) clears the hash-consing intern tables
     at the start of the run; a batch server passes [false] to keep them
     warm across requests.
@@ -232,8 +207,6 @@ val budget_exhaustions : unit -> int
 val run :
   ?options:options ->
   ?store:Ac_store.Store.t ->
-  ?pool:Pool.t ->
-  ?supervisor:Supervisor.t ->
   ?fresh_tables:bool ->
   string ->
   result

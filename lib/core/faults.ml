@@ -2,52 +2,38 @@
 
    PR 2 gave the kernel, solver and analysis test-only fault hooks; this
    module grows them into an operator-facing harness: a parseable spec
-   (`ACC_FAULTS` / `--inject`, e.g. "io_error:0.05,worker_crash:0.02")
-   drives a deterministic seeded RNG threaded through store I/O, pool
-   task dispatch, and serve request handling.
+   (`ACC_FAULTS` / `--inject`, e.g. "io_error:0.05,slow:0.01") drives a
+   deterministic seeded RNG threaded through store I/O and serve request
+   handling.
 
    Determinism matters more than statistical quality here: a CI failure
    under "io_error:0.05,seed:42" must reproduce byte-for-byte, so each
    decision hashes (seed, global decision counter) rather than consuming
-   a shared mutable RNG stream whose interleaving would vary across
-   domains.  The counter is a single atomic, so decision *indices* can
-   still interleave across domains — but every index yields the same
-   verdict for a given seed, and the properties we assert (byte-identical
-   output when the run completes, structured degradation otherwise) are
-   schedule-independent by design. *)
+   a shared mutable RNG stream: every index yields the same verdict for a
+   given seed, and the properties we assert (byte-identical output when
+   the run completes, structured degradation otherwise) hold whichever
+   decisions fire. *)
 
-type kind = Io_error | Worker_crash | Slow
+type kind = Io_error | Slow
 
 type config = {
   seed : int;
   io_error : float; (* per-I/O-attempt probability of a transient Sys_error *)
-  worker_crash : float; (* per-task probability of a worker-domain crash *)
   slow : float; (* per-request probability of an injected stall *)
   slow_s : float; (* stall duration *)
 }
 
-let default = { seed = 0; io_error = 0.; worker_crash = 0.; slow = 0.; slow_s = 0.01 }
+let default = { seed = 0; io_error = 0.; slow = 0.; slow_s = 0.01 }
 
 let state : config option Atomic.t = Atomic.make None
 let tick = Atomic.make 0
 let injected_io = Atomic.make 0
-let injected_crash = Atomic.make 0
 let injected_slow = Atomic.make 0
-
-(* Quarantined tasks re-run with injection masked (the whole point of
-   quarantine is to finish the work); the mask is per-domain state. *)
-let masked_key : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
-
-let with_mask f =
-  let old = Domain.DLS.get masked_key in
-  Domain.DLS.set masked_key true;
-  Fun.protect ~finally:(fun () -> Domain.DLS.set masked_key old) f
 
 let active () = Atomic.get state
 
 let injected = function
   | Io_error -> Atomic.get injected_io
-  | Worker_crash -> Atomic.get injected_crash
   | Slow -> Atomic.get injected_slow
 
 (* A cheap integer mix (murmur-style finalizer) mapped into [0, 2^30). *)
@@ -58,31 +44,21 @@ let mix seed n =
   let h = h lxor (h lsr 13) in
   h land 0x3FFFFFFF
 
-let rate_of cfg = function
-  | Io_error -> cfg.io_error
-  | Worker_crash -> cfg.worker_crash
-  | Slow -> cfg.slow
-
-let counter_of = function
-  | Io_error -> injected_io
-  | Worker_crash -> injected_crash
-  | Slow -> injected_slow
+let rate_of cfg = function Io_error -> cfg.io_error | Slow -> cfg.slow
+let counter_of = function Io_error -> injected_io | Slow -> injected_slow
 
 (* Decide whether fault [k] fires at this decision point. *)
 let fire (k : kind) : bool =
   match Atomic.get state with
   | None -> false
   | Some cfg ->
-    if Domain.DLS.get masked_key then false
+    let rate = rate_of cfg k in
+    if rate <= 0. then false
     else begin
-      let rate = rate_of cfg k in
-      if rate <= 0. then false
-      else begin
-        let n = Atomic.fetch_and_add tick 1 in
-        let hit = float_of_int (mix cfg.seed n) < rate *. 1073741824. in
-        if hit then Atomic.incr (counter_of k);
-        hit
-      end
+      let n = Atomic.fetch_and_add tick 1 in
+      let hit = float_of_int (mix cfg.seed n) < rate *. 1073741824. in
+      if hit then Atomic.incr (counter_of k);
+      hit
     end
 
 let injected_io_error_msg = "injected transient I/O fault"
@@ -96,7 +72,6 @@ let install (cfg : config) : unit =
   Atomic.set state (Some cfg);
   Atomic.set tick 0;
   Atomic.set injected_io 0;
-  Atomic.set injected_crash 0;
   Atomic.set injected_slow 0;
   (* The store library sits below this one, so its injection point is a
      hook rather than a direct call. *)
@@ -109,7 +84,7 @@ let clear () =
   Atomic.set state None;
   Ac_store.Store.set_io_hook None
 
-(* Parse "io_error:0.05,worker_crash:0.02,slow:0.01,seed:42,slow_ms:20".
+(* Parse "io_error:0.05,slow:0.01,seed:42,slow_ms:20".
    Unknown names and malformed values are hard errors — a typo in a
    fault spec silently injecting nothing would defeat the soak. *)
 let parse (spec : string) : (config, string) result =
@@ -130,7 +105,6 @@ let parse (spec : string) : (config, string) result =
         in
         match name with
         | "io_error" -> rate (fun r -> { cfg with io_error = r })
-        | "worker_crash" -> rate (fun r -> { cfg with worker_crash = r })
         | "slow" -> rate (fun r -> { cfg with slow = r })
         | "seed" -> (
           match int_of_string_opt value with

@@ -2,18 +2,15 @@
 
     A fault spec ({!parse}, surfaced as [ACC_FAULTS] / [acc serve
     --inject]) names per-decision-point probabilities for transient I/O
-    errors, worker-domain crashes, and request stalls.  Decisions are a
-    pure function of (seed, global decision index), so a failing schedule
-    reproduces exactly.  Injection is process-global ({!install} /
-    {!clear}); {!with_mask} suppresses it on the current domain, which is
-    how quarantined work gets to finish. *)
+    errors and request stalls.  Decisions are a pure function of (seed,
+    global decision index), so a failing schedule reproduces exactly.
+    Injection is process-global ({!install} / {!clear}). *)
 
-type kind = Io_error | Worker_crash | Slow
+type kind = Io_error | Slow
 
 type config = {
   seed : int;
   io_error : float;
-  worker_crash : float;
   slow : float;
   slow_s : float;
 }
@@ -22,7 +19,7 @@ val default : config
 (** All rates zero, seed zero; [slow_s] = 10ms. *)
 
 val parse : string -> (config, string) result
-(** Parse a spec like ["io_error:0.05,worker_crash:0.02,seed:42,slow_ms:20"].
+(** Parse a spec like ["io_error:0.05,slow:0.01,seed:42,slow_ms:20"].
     Rates are clamped to [0,1]; unknown names are errors. *)
 
 val install : config -> unit
@@ -36,7 +33,7 @@ val active : unit -> config option
 
 val fire : kind -> bool
 (** Decide (and record) whether the fault fires at this decision point.
-    Always false when no config is installed or the domain is masked. *)
+    Always false when no config is installed. *)
 
 val injected : kind -> int
 (** Faults of this kind injected since the last {!install}. *)
@@ -47,6 +44,3 @@ val injected_io_error_msg : string
 
 val sleep_if_slow : unit -> unit
 (** Stall for [slow_s] if the [Slow] fault fires (serve request path). *)
-
-val with_mask : (unit -> 'a) -> 'a
-(** Run with injection suppressed on the current domain. *)

@@ -1,92 +1,49 @@
 (* Per-phase profiling counters for the pipeline.
 
    [record phase f] measures one unit of phase work — wall-clock seconds
-   and bytes allocated on the executing domain — and folds it into the
-   executing domain's own accumulator table.  Accumulation is per-domain
-   (each table has its own mutex, uncontended on the hot path because
-   only the owning domain writes to it); [snapshot] merges every
-   domain's table at harvest time.  Workers under [--jobs N] therefore
-   contribute their phase work with no cross-domain lock traffic, and
-   nothing is silently attributed to the main domain.
-
-   Two readings to keep straight:
-   - wall seconds are summed across workers, so under [--jobs N] a
-     phase's total can exceed the elapsed time of the run (it is
-     cumulative work, the quantity a speedup is computed against);
-   - allocation is per-domain ([Gc.allocated_bytes] is domain-local in
-     OCaml 5), which is exactly right: the delta is taken on the domain
-     running the work.
+   and bytes allocated — and folds it into the phase's accumulator.  The
+   pipeline runs on one domain, so one table serves every phase.
 
    The driver resets the counters at the start of every [Driver.run], so
    a snapshot taken after [run] (+ [check_all]) describes that run. *)
 
 (* Monotonic wall clock in seconds (bechamel's CLOCK_MONOTONIC stub).
    This is the clock for every deadline and watchdog in the service path
-   — serve's request watchdog, [Supervisor.timed], lock backoff — which
-   must not jump when the system clock is stepped (NTP slew, manual
-   `date`, VM resume).  [Unix.gettimeofday] remains correct only for
+   — serve's request watchdog, lock backoff — which must not jump when
+   the system clock is stepped (NTP slew, manual `date`, VM resume).  [Unix.gettimeofday] remains correct only for
    calendar timestamps and file-mtime comparisons. *)
 let mono_s () = Int64.to_float (Monotonic_clock.now ()) /. 1e9
 
 type entry = {
   phase : string;
   calls : int;
-  wall_s : float;  (* cumulative across workers *)
+  wall_s : float;
   alloc_bytes : float;
 }
 
 type cell = { mutable c_calls : int; mutable c_wall : float; mutable c_alloc : float }
 
-(* One table per domain.  The per-table mutex exists for the benefit of
-   the cross-domain readers ([snapshot]/[reset]); the owning domain is
-   the only writer, so [add] never contends in steady state. *)
-type dtab = { dt_mu : Mutex.t; dt_tbl : (string, cell) Hashtbl.t }
-
-let reg_mu = Mutex.create ()
-let registry : dtab list ref = ref []
-
-let tab_key : dtab Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      let t = { dt_mu = Mutex.create (); dt_tbl = Hashtbl.create 16 } in
-      Mutex.lock reg_mu;
-      registry := t :: !registry;
-      Mutex.unlock reg_mu;
-      t)
+let table : (string, cell) Hashtbl.t = Hashtbl.create 16
 
 (* Phases in pipeline order, so snapshots render in a stable, meaningful
    order regardless of which phase happened to be recorded first. *)
 let canonical_order =
   [ "parse"; "l1"; "l2"; "guard_discharge"; "heap_abs"; "word_abs"; "chain"; "check" ]
 
-let all_tabs () =
-  Mutex.lock reg_mu;
-  let tabs = !registry in
-  Mutex.unlock reg_mu;
-  tabs
-
-let reset () =
-  List.iter
-    (fun t ->
-      Mutex.lock t.dt_mu;
-      Hashtbl.reset t.dt_tbl;
-      Mutex.unlock t.dt_mu)
-    (all_tabs ())
+let reset () = Hashtbl.reset table
 
 let add phase dt da =
-  let t = Domain.DLS.get tab_key in
-  Mutex.lock t.dt_mu;
   let c =
-    match Hashtbl.find_opt t.dt_tbl phase with
+    match Hashtbl.find_opt table phase with
     | Some c -> c
     | None ->
       let c = { c_calls = 0; c_wall = 0.; c_alloc = 0. } in
-      Hashtbl.add t.dt_tbl phase c;
+      Hashtbl.add table phase c;
       c
   in
   c.c_calls <- c.c_calls + 1;
   c.c_wall <- c.c_wall +. dt;
-  c.c_alloc <- c.c_alloc +. da;
-  Mutex.unlock t.dt_mu
+  c.c_alloc <- c.c_alloc +. da
 
 let record ?(cat = "driver") ?func (phase : string) (f : unit -> 'a) : 'a =
   let measured () =
@@ -105,32 +62,11 @@ let record ?(cat = "driver") ?func (phase : string) (f : unit -> 'a) : 'a =
   else measured ()
 
 let snapshot () : entry list =
-  (* Merge every domain's table into one per-phase map. *)
-  let merged : (string, cell) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun t ->
-      Mutex.lock t.dt_mu;
-      Hashtbl.iter
-        (fun phase c ->
-          let m =
-            match Hashtbl.find_opt merged phase with
-            | Some m -> m
-            | None ->
-              let m = { c_calls = 0; c_wall = 0.; c_alloc = 0. } in
-              Hashtbl.add merged phase m;
-              m
-          in
-          m.c_calls <- m.c_calls + c.c_calls;
-          m.c_wall <- m.c_wall +. c.c_wall;
-          m.c_alloc <- m.c_alloc +. c.c_alloc)
-        t.dt_tbl;
-      Mutex.unlock t.dt_mu)
-    (all_tabs ());
   let all =
     Hashtbl.fold
       (fun phase c acc ->
         { phase; calls = c.c_calls; wall_s = c.c_wall; alloc_bytes = c.c_alloc } :: acc)
-      merged []
+      table []
   in
   let rank p =
     let rec go i = function

@@ -1,32 +1,25 @@
 (** Per-phase profiling counters for the pipeline (wall clock and
-    allocation), accumulated per domain and merged at harvest.
-    {!Driver.run} resets the counters at its start and records each
-    phase's per-function work; a snapshot taken afterwards describes
-    that run.  Workers write to their own domain-local table (no
-    cross-domain lock traffic on the hot path) and {!snapshot} merges
-    all tables, so work done inside pool workers is never silently
-    dropped or attributed to the main domain.  Wall seconds are summed
-    across workers, so under [jobs > 1] a phase total can exceed the
-    run's elapsed time — it is cumulative work. *)
+    allocation).  {!Driver.run} resets the counters at its start and
+    records each phase's per-function work; a snapshot taken afterwards
+    describes that run. *)
 
 (** Monotonic wall clock in seconds ([CLOCK_MONOTONIC]): the clock for
-    deadlines and watchdogs (serve's request watchdog, {!Supervisor},
-    store-lock backoff), immune to system-clock steps.  Only its
-    differences are meaningful. *)
+    deadlines and watchdogs (serve's request watchdog, store-lock
+    backoff), immune to system-clock steps.  Only its differences are
+    meaningful. *)
 val mono_s : unit -> float
 
 type entry = {
   phase : string;
   calls : int;  (** units of work recorded (usually functions processed) *)
-  wall_s : float;  (** cumulative wall-clock seconds across workers *)
-  alloc_bytes : float;  (** bytes allocated on the recording domains *)
+  wall_s : float;  (** cumulative wall-clock seconds *)
+  alloc_bytes : float;  (** bytes allocated *)
 }
 
 val reset : unit -> unit
 
 (** [record ?cat ?func phase f] runs [f ()], folding its wall time and
-    allocation into [phase]'s accumulator on the executing domain
-    (thread-safe; measurement outside the lock).  Exceptions propagate,
+    allocation into [phase]'s accumulator.  Exceptions propagate,
     with the partial work still counted.  When tracing is enabled the
     unit of work is also emitted as an [Obs] span named [phase] in
     category [cat] (default ["driver"]) with [func] (the function being

@@ -108,7 +108,7 @@ let default_fuel = 1_000_000
 let fuel = ref default_fuel
 
 (* How many [normalize] calls ran out of fuel (for `acc stats`).  Reset by
-   the driver per run; atomic, workers rewrite concurrently. *)
+   the driver per run. *)
 let exhaustions = Atomic.make 0
 
 let rec try_head (ctx : Rules.ctx) (m : M.t) : Thm.t option =
@@ -124,11 +124,11 @@ let rec try_head (ctx : Rules.ctx) (m : M.t) : Thm.t option =
    that rewrote nothing inside a subterm saw the same fuel throughout), so a
    later pass meeting the same physical subterm again — the kernel maps and
    congruence keep untouched subterms shared — would find nothing to do and
-   may skip it.  Local to one [normalize] call: no global state, safe under
-   concurrent domains.  Only compound nodes are recorded (a leaf costs less
-   to re-examine than to look up), under a shallow hash: on the sel4-like
-   unit a full [Hashtbl.hash] of every visited node costs more time than
-   the skipped work saves. *)
+   may skip it.  Local to one [normalize] call: no global state.  Only
+   compound nodes are recorded (a leaf costs less to re-examine than to
+   look up), under a shallow hash: on the sel4-like unit a full
+   [Hashtbl.hash] of every visited node costs more time than the skipped
+   work saves. *)
 module Seen = Hashtbl.Make (struct
   type t = M.t
 

@@ -17,23 +17,20 @@
    Cost model: rule minting is the kernel's hot path — the whole
    translation pipeline averages under 100 ns of work per mint, so the
    budget here is single-digit nanoseconds.  Per-rule counts are one
-   unsynchronised flat-array increment indexed by the dense rule id:
-   immediate ints, no hashing, no write barrier, no domain-local-state
-   lookup.  Concurrent domains may lose an occasional increment to the
-   race (plain int stores are memory-safe in the OCaml 5 model, just not
-   atomic); telemetry counters are allowed to be approximate under
-   contention and exact in the single-domain case the bench bounds.  The
-   rule NAME is only stored the first time an id fires.  Custom rules
-   (id -1, user-chosen names) take a mutex-guarded assoc-list slow path;
-   they are rare by construction.  Chain shapes and discharge provenance
-   are rare events (once per function) and go straight to the {!Metrics}
-   registry, which also makes them scrapeable for free. *)
+   flat-array increment indexed by the dense rule id: immediate ints, no
+   hashing, no write barrier, no lock.  The pipeline mints every theorem
+   on one domain, so the counts are exact.  The rule NAME is only stored
+   the first time an id fires.  Custom rules (id -1, user-chosen names)
+   take an assoc-list slow path; they are rare by construction.  Chain
+   shapes and discharge provenance are rare events (once per function)
+   and go straight to the {!Metrics} registry, which also makes them
+   scrapeable for free. *)
 
 let enabled_flag = Atomic.make false
 let enabled () = Atomic.get enabled_flag
 let set_enabled b = Atomic.set enabled_flag b
 
-(* --- per-rule application counters (per-domain tables) --- *)
+(* --- per-rule application counters --- *)
 
 (* Capacity of the dense-id fast path.  Must be >= the kernel's
    [Rules.num_rule_ids]; this module deliberately has no kernel
@@ -47,36 +44,28 @@ let no_name = String.make 0 'x'
 
 (* Fast path: applications of rule id [i] land in [counts.(i)] — an
    immediate-int store, no write barrier.  [names.(i)] is written once,
-   on the id's first hit (racing writers store the same literal, so the
-   race is benign; a reader either sees [no_name] and skips the slot or
-   sees the name with whatever count has accumulated). *)
+   on the id's first hit. *)
 let counts = Array.make id_capacity 0
 let names = Array.make id_capacity no_name
 
-(* Slow path for custom rules (id -1): (name, count) assoc updated under
-   a mutex.  Rare by construction — custom rules are explicit user
-   registrations. *)
-let custom_mu = Mutex.create ()
+(* Slow path for custom rules (id -1): a (name, count) assoc.  Rare by
+   construction — custom rules are explicit user registrations. *)
 let custom : (string * int) list ref = ref []
 
 (* The kernel hook body.  [enabled] is re-checked here because the hook
    stays installed for the life of the process once armed (bench rounds
-   flip the flag instead of racing hook deinstallation against worker
-   domains mid-map). *)
+   flip the flag instead of reinstalling the hook). *)
 let on_rule (id : int) (rule : string) : unit =
   if Atomic.get enabled_flag then
     if id >= 0 && id < id_capacity then begin
       Array.unsafe_set counts id (Array.unsafe_get counts id + 1);
       if Array.unsafe_get names id == no_name then names.(id) <- rule
     end
-    else begin
-      Mutex.lock custom_mu;
+    else
       custom :=
-        (match List.assoc_opt rule !custom with
+        match List.assoc_opt rule !custom with
         | Some n -> (rule, n + 1) :: List.remove_assoc rule !custom
-        | None -> (rule, 1) :: !custom);
-      Mutex.unlock custom_mu
-    end
+        | None -> (rule, 1) :: !custom
 
 let rule_counts () : (string * int) list =
   let merged : (string, int) Hashtbl.t = Hashtbl.create 64 in
@@ -89,10 +78,7 @@ let rule_counts () : (string * int) list =
     let name = names.(i) in
     if name != no_name then add name counts.(i)
   done;
-  Mutex.lock custom_mu;
-  let cust = !custom in
-  Mutex.unlock custom_mu;
-  List.iter (fun (rule, n) -> add rule n) cust;
+  List.iter (fun (rule, n) -> add rule n) !custom;
   Hashtbl.fold (fun rule n acc -> (rule, n) :: acc) merged []
   |> List.sort (fun (a, na) (b, nb) ->
          match Int.compare nb na with 0 -> String.compare a b | c -> c)
@@ -132,9 +118,7 @@ let record_discharge (p : provenance) ~proven ~scrubbed =
 let reset () =
   Array.fill counts 0 id_capacity 0;
   Array.fill names 0 id_capacity no_name;
-  Mutex.lock custom_mu;
   custom := [];
-  Mutex.unlock custom_mu;
   List.iter
     (fun c -> Metrics.set_counter (Lazy.force c) 0)
     [ c_chains; c_intra; c_inter; c_scrub ];

@@ -16,9 +16,8 @@ val set_enabled : bool -> unit
 
 (** The kernel hook body: count one successful application of the rule
     with the given dense id ([Rules.rule_id]; -1 for custom rules) and
-    name.  Counts are unsynchronised on the hot path, so concurrent
-    domains may drop the odd increment — exact when single-domain or
-    quiescent.  Install with [Thm.set_obs_hook (Some Effort.on_rule)]. *)
+    name.  Counts are exact: the pipeline mints every theorem on one
+    domain.  Install with [Thm.set_obs_hook (Some Effort.on_rule)]. *)
 val on_rule : int -> string -> unit
 
 (** Record one completed end-to-end refinement chain:
@@ -37,7 +36,7 @@ type provenance = Intra | Interproc
     the certificate walk. *)
 val record_discharge : provenance -> proven:int -> scrubbed:int -> unit
 
-(** Merged per-rule counts, most-applied first (ties by name). *)
+(** Per-rule counts, most-applied first (ties by name). *)
 val rule_counts : unit -> (string * int) list
 
 val total_applications : unit -> int

@@ -1,5 +1,5 @@
 (* Metrics registry.  Counters and histogram buckets are [Atomic] ints,
-   so increments from worker domains need no lock; the registry table
+   so increments from any domain need no lock; the registry table
    itself is mutex-guarded (creation is rare).  Float cells (gauges, the
    histogram sum) are [float Atomic.t]: the float is boxed, and
    [compare_and_set] compares the box physically — correct for the

@@ -10,9 +10,9 @@
       to make those two cross-domain readers safe, not to arbitrate
       writers.
    3. Crash-tolerant balance: [span] emits its end event from
-      [Fun.protect ~finally], so a [Pool.Crash] (or any exception)
-      escaping the traced work still closes the span and harvested B/E
-      events stay balanced under fault injection.
+      [Fun.protect ~finally], so any exception escaping the traced work
+      still closes the span and harvested B/E events stay balanced under
+      fault injection.
 
    Trust boundary: this module is observation only.  The kernel never
    reads these buffers; no certificate or theorem depends on them. *)
@@ -72,9 +72,8 @@ let reg_mu = Mutex.create ()
 let registry : buf list ref = ref []
 
 (* One buffer per domain, created lazily on first event and registered
-   for harvest.  A respawned worker domain gets a fresh buffer; dead
-   domains' buffers stay registered (their events are still wanted) —
-   growth is bounded by the number of respawns. *)
+   for harvest.  A buffer stays registered after its domain exits (its
+   events are still wanted). *)
 let buf_key : buf Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
       let b =

@@ -206,8 +206,7 @@ let default_budget = { max_branches = 40000; deadline_s = None }
 let budget = ref default_budget
 
 (* How many times a proof attempt ran out of budget (for `acc stats` /
-   degradation reporting).  Reset by the driver per run; atomic because
-   the driver's worker domains prove goals concurrently. *)
+   degradation reporting).  Reset by the driver per run. *)
 let exhaustions = Atomic.make 0
 
 (* Test-only fault injection: answers [true] to abort the current proof
@@ -219,15 +218,12 @@ let set_fault_hook h = fault_hook := h
 exception Too_hard
 
 (* Absolute deadline for the goal currently being proved; [prove] is not
-   reentrant (nothing in the code base re-enters it), but the parallel
-   driver does prove goals in several domains at once, so the deadline is
-   domain-local.  Wall clock, not [Sys.time]: process CPU time advances
-   [jobs] times faster than the wall when every worker is busy, which
-   would make per-goal deadlines fire early. *)
-let deadline_key : float option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+   reentrant (nothing in the code base re-enters it).  Wall clock, not
+   [Sys.time]: a per-goal deadline bounds elapsed time. *)
+let deadline : float option ref = ref None
 
 let out_of_time () =
-  match Domain.DLS.get deadline_key with
+  match !deadline with
   | None -> false
   | Some d -> Unix.gettimeofday () > d
 
@@ -334,8 +330,7 @@ let try_refute ?(attempts = 400) (hyps : Term.t list) (goal : Term.t) :
 
 let prove ?(hyps = []) (goal : Term.t) : outcome * stats =
   let stats = new_stats () in
-  Domain.DLS.set deadline_key
-    (Option.map (fun d -> Unix.gettimeofday () +. d) !budget.deadline_s);
+  deadline := Option.map (fun d -> Unix.gettimeofday () +. d) !budget.deadline_s;
   let facts =
     List.map hc (elaborate_divmod (List.map Simp.normalize (not_t goal :: hyps)))
   in
@@ -346,7 +341,7 @@ let prove ?(hyps = []) (goal : Term.t) : outcome * stats =
       Atomic.incr exhaustions;
       false
   in
-  Domain.DLS.set deadline_key None;
+  deadline := None;
   match refuted with
   | true -> (Proved, stats)
   | false -> (

@@ -218,10 +218,9 @@ end)
    any trusted code, and [equal] falls back to the structural walk for
    non-interned terms.
 
-   The state is domain-local (each worker of the parallel driver interns
-   into its own table), so no locking is needed and physical-identity
-   claims never cross domains.  The driver clears the main domain's table
-   per run; worker tables die with their domain. *)
+   The state is domain-local, so no locking is needed and
+   physical-identity claims never cross domains.  The driver clears the
+   table per run. *)
 
 type hc_state = {
   hc_tbl : t Tbl.t; (* structural term -> canonical representative *)
@@ -232,14 +231,6 @@ type hc_state = {
 let hc_key =
   Domain.DLS.new_key (fun () ->
       { hc_tbl = Tbl.create 1024; hc_ids = Tbl.create 1024; hc_next = 0 })
-
-(* A/B switch for the bench harness: with interning off, [hc] is the
-   identity, [equal]/[compare_t] lose their physical fast path on solver
-   terms, and the pipeline behaves as it did before hash-consing — the
-   honest baseline a speedup is measured against.  Everything stays
-   correct either way ([equal] always falls back to the structural
-   walk). *)
-let hc_enabled = ref true
 
 let rec intern (t : t) : t =
   let memo = Domain.DLS.get hash_memo_key in
@@ -266,10 +257,9 @@ let rec intern (t : t) : t =
       c
   end
 
-let hc (t : t) : t = if !hc_enabled then intern t else t
+let hc = intern
 
-(* The unique id of a term's canonical representative (interns [t] even
-   when the [hc] fast path is switched off, so ids are always total). *)
+(* The unique id of a term's canonical representative. *)
 let hc_id (t : t) : int =
   let st = Domain.DLS.get hc_key in
   match Tbl.find_opt st.hc_ids (intern t) with Some i -> i | None -> assert false

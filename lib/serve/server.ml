@@ -5,13 +5,11 @@
    requests per connection with newline-delimited lines — the exact
    grammar and JSON response shape of stdin serve mode, byte for byte —
    and feeds every connection's requests into ONE bounded in-flight
-   scheduler running over the process's shared Pool + Supervisor +
-   Store.
+   scheduler running over the process's shared Store.
 
    Architecture: a single-threaded [Unix.select] event loop.  Request
    execution is serialized on the main domain (the handler may run the
-   full translation pipeline, which parallelizes *internally* via the
-   worker pool under [--jobs]); the event loop interleaves socket I/O
+   full translation pipeline); the event loop interleaves socket I/O
    with execution by running at most one request between select calls.
    This keeps the translation core — whose global state (profile
    counters, check cache, store counters) is reset per run — on one

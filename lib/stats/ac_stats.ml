@@ -50,8 +50,7 @@ let measure ?options ?store ~name (source : string) : row * Driver.result =
     | Some o -> o
     | None -> { Driver.default_options with Driver.keep_going = true }
   in
-  (* Wall clock, not [Sys.time]: process CPU time advances [jobs]× faster
-     than elapsed time once the driver runs functions on worker domains. *)
+  (* Wall clock, not [Sys.time]: Table 5 reports elapsed time. *)
   let t0 = Unix.gettimeofday () in
   let simpl = Ac_simpl.C2simpl.parse source in
   let parse_time = Unix.gettimeofday () -. t0 in
@@ -160,9 +159,7 @@ let table5_header =
     "S/1/2/H/W"; "BudgetX" ]
 
 (* ------------------------------------------------------------------ *)
-(* Per-phase profile rendering (`acc stats --profile`).  Wall seconds
-   are cumulative across worker domains, so with --jobs > 1 a phase can
-   exceed the run's elapsed time. *)
+(* Per-phase profile rendering (`acc stats --profile`). *)
 
 let profile_header = [ "Phase"; "Calls"; "Wall(s)"; "Alloc(MB)" ]
 

@@ -1,8 +1,8 @@
 (* The L2 schedule and the sharing-preserving rewrite engine: translated
    programs are pinned byte for byte, every function is converted once on
-   acyclic units (a recursive component iterates, bounded), the output does
-   not depend on --jobs, and a non-recoverable failure is still reported
-   for the first failing function in source order. *)
+   acyclic units (a recursive component iterates, bounded), and a
+   non-recoverable failure is still reported for the first failing
+   function in source order. *)
 
 module Driver = Autocorres.Driver
 module Profile = Autocorres.Profile
@@ -127,29 +127,6 @@ let test_recursive_component_bounded () =
     (Printf.sprintf "%d L2 conversions <= %d (2x per recursive member)" calls bound)
     true (calls <= bound)
 
-(* Everything a caller can observe, including the L2 images the schedule
-   produces and the nothrow set it settles on. *)
-let fingerprint (res : Driver.result) : string =
-  let b = Buffer.create 4096 in
-  List.iter
-    (fun fr ->
-      Buffer.add_string b fr.Driver.fr_name;
-      Buffer.add_string b (Driver.level_name (Driver.level_of fr));
-      Buffer.add_string b (Mprint.func_to_string fr.Driver.fr_l2);
-      Buffer.add_string b (Mprint.func_to_string fr.Driver.fr_final);
-      List.iter (fun (p, w) -> Buffer.add_string b (p ^ ":" ^ w)) fr.Driver.fr_skipped)
-    res.Driver.funcs;
-  List.iter (fun n -> Buffer.add_string b n) res.Driver.ctx.Ac_kernel.Rules.nothrows;
-  List.iter (fun d -> Buffer.add_string b (Diag.to_string d)) res.Driver.diags;
-  Buffer.contents b
-
-let test_jobs_identical () =
-  let src = profile_source "capdl-sysinit-like" in
-  let run jobs = Driver.run ~options:{ Driver.default_options with Driver.jobs } src in
-  let seq = fingerprint (run 1) in
-  let par = fingerprint (run 2) in
-  Alcotest.(check bool) "--jobs 2 output = --jobs 1 output" true (String.equal seq par)
-
 (* [top] calls [leaf]; both fail L2 outright.  The schedule converts [leaf]
    first (it is lower in the call graph), but the failure raised must be
    [top]'s: the first failing function in source order, as with any other
@@ -176,6 +153,5 @@ let suite =
     ("one L2 conversion per function (acyclic units)", `Slow, test_one_conversion_per_function);
     ("recursive component converts at most twice per member", `Quick,
      test_recursive_component_bounded);
-    ("--jobs 1 and --jobs 2 identical (capdl-like)", `Slow, test_jobs_identical);
     ("L2 failure reported in source order", `Quick, test_first_failure_in_source_order);
   ]

@@ -9,13 +9,15 @@
    - harvested span streams are well-formed — per-domain B/E events
      balance with stack discipline, timestamps are monotone per buffer,
      sequence numbers order ties — and stay well-formed under injected
-     worker crashes and I/O errors (the [Fun.protect] in [Obs.span] is
-     what this pins);
+     store I/O errors (the [Fun.protect] in [Obs.span] is what this
+     pins);
    - tracing is invisible in the results: a traced, fault-injected run
      produces the same observable surface as a clean untraced run;
-   - per-phase profile totals harvested from pool workers match the
-     sequential run unit-for-unit (the per-domain-accumulate/merge
-     rework: no work dropped, none double-counted);
+   - per-phase profile totals describe one run: a rerun records the same
+     units of work per phase (nothing carried over, nothing
+     double-counted);
+   - proof-effort counters are exact: two translations of one unit count
+     the same rule applications;
    - the CLI contract: `--trace` leaves stdout/stderr byte-identical,
      the emitted file passes `acc trace --validate`, and serve's
      `status`/`metrics` verbs expose the new latency/registry JSON. *)
@@ -24,8 +26,6 @@ module Obs = Ac_obs.Obs
 module Metrics = Ac_obs.Metrics
 module Driver = Autocorres.Driver
 module Profile = Autocorres.Profile
-module Pool = Autocorres.Pool
-module Supervisor = Autocorres.Supervisor
 module Faults = Autocorres.Faults
 module Csources = Ac_cases.Csources
 
@@ -198,9 +198,9 @@ let test_span_nesting_unit () =
            (List.filter (fun l -> l <> "") (String.split_on_char '\n' jsonl))))
 
 (* ------------------------------------------------------------------ *)
-(* Traced full pipeline runs: spans from driver, pool, supervisor, store
-   and analysis instrumentation all harvest into one well-formed stream,
-   and the result is untouched. *)
+(* Traced full pipeline runs: spans from driver, store and analysis
+   instrumentation all harvest into one well-formed stream, and the result
+   is untouched. *)
 
 let fingerprint (res : Driver.result) : string =
   let b = Buffer.create 4096 in
@@ -226,12 +226,18 @@ let fingerprint (res : Driver.result) : string =
 let fault_sources =
   [ Csources.max_c; Csources.gcd_c; Csources.counter_c; Csources.div_guarded_c ]
 
-(* qcheck: any crash/io-error schedule, traced, on a real multi-domain
-   pool — the harvested stream is well-formed and the result matches the
-   clean untraced baseline byte for byte.  [Driver.run] caps
-   [options.jobs] at the hardware, so the pool is created directly
-   ([Pool.create] is uncapped) to get genuine worker domains even on a
-   single-core machine. *)
+(* One store shared by the iterations of the property below: iterations
+   that find a function already banked replay it, so injected I/O faults
+   hit loads, saves and replays alike. *)
+let fault_store_dir =
+  lazy
+    (let d = Filename.temp_file "acc_obs_fault_store" "" in
+     Sys.remove d;
+     d)
+
+(* qcheck: any io-error schedule against a proof store, traced — the
+   harvested stream is well-formed and the result matches the clean
+   untraced baseline byte for byte. *)
 let prop_traced_faulted_wellformed =
   let open QCheck in
   let baselines = Hashtbl.create 8 in
@@ -245,72 +251,51 @@ let prop_traced_faulted_wellformed =
   in
   Test.make ~name:"traced faulted runs: spans well-formed, results unchanged"
     ~count:25
-    (quad (int_bound 0x3FFFFFF) (int_bound 300) (int_bound 300)
+    (triple (int_bound 0x3FFFFFF) (int_bound 300)
        (int_bound (List.length fault_sources - 1)))
-    (fun (seed, crash, io, src_ix) ->
+    (fun (seed, io, src_ix) ->
       let src = List.nth fault_sources src_ix in
       let expect = baseline src in
-      let cfg =
-        { Faults.default with
-          Faults.seed;
-          worker_crash = float_of_int crash /. 1000.;
-          io_error = float_of_int io /. 1000.
-        }
-      in
+      let cfg = { Faults.default with Faults.seed; io_error = float_of_int io /. 1000. } in
       with_tracing (fun () ->
-          let pool = Pool.create ~jobs:3 in
-          Fun.protect
-            ~finally:(fun () -> Pool.shutdown pool)
-            (fun () ->
-              let res =
-                with_faults cfg (fun () ->
-                    Obs.with_ctx "prop" (fun () ->
-                        Driver.run ~options:keep_going ~pool src))
-              in
-              let evs = Obs.harvest () in
-              (match check_wellformed evs with
-              | Some e -> Test.fail_reportf "ill-formed stream: %s" e
-              | None -> ());
-              if evs = [] then Test.fail_report "traced run recorded no events";
-              if fingerprint res <> expect then
-                Test.fail_report "traced faulted result diverged from baseline";
-              true)))
+          let res =
+            with_faults cfg (fun () ->
+                let store =
+                  match Ac_store.Store.open_ ~dir:(Lazy.force fault_store_dir) () with
+                  | Ok st -> Some st
+                  | Error _ -> None
+                in
+                Obs.with_ctx "prop" (fun () -> Driver.run ~options:keep_going ?store src))
+          in
+          let evs = Obs.harvest () in
+          (match check_wellformed evs with
+          | Some e -> Test.fail_reportf "ill-formed stream: %s" e
+          | None -> ());
+          if evs = [] then Test.fail_report "traced run recorded no events";
+          if fingerprint res <> expect then
+            Test.fail_report "traced faulted result diverged from baseline";
+          true))
 
 (* ------------------------------------------------------------------ *)
-(* Satellite (a): the per-domain profile accumulators.  A pooled run
-   must account for exactly the same units of work per phase as the
-   sequential run — nothing dropped on worker domains, nothing
-   double-counted by the merge. *)
+(* The profile describes one run: [Driver.run] resets it, so a rerun of
+   the same source records exactly the same units of work per phase. *)
 
-let test_profile_pool_merge () =
+let test_profile_rerun_same_units () =
   let src = Csources.max_c ^ "\n" ^ Csources.gcd_c in
   ignore (Driver.run ~options:keep_going src);
-  let seq = Profile.snapshot () in
-  Alcotest.(check bool) "sequential run recorded phases" true (seq <> []);
-  let pool = Pool.create ~jobs:4 in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown pool)
-    (fun () -> ignore (Driver.run ~options:keep_going ~pool src));
-  let par = Profile.snapshot () in
-  let calls phase entries =
-    match List.find_opt (fun e -> String.equal e.Profile.phase phase) entries with
-    | Some e -> e.Profile.calls
-    | None -> 0
-  in
-  List.iter
-    (fun e ->
-      Alcotest.(check int)
-        (Printf.sprintf "phase %s: same units of work pooled as sequential"
-           e.Profile.phase)
-        e.Profile.calls
-        (calls e.Profile.phase par))
-    seq;
+  let first = Profile.snapshot () in
+  Alcotest.(check bool) "run recorded phases" true (first <> []);
+  ignore (Driver.run ~options:keep_going src);
+  let second = Profile.snapshot () in
+  let units entries = List.map (fun e -> (e.Profile.phase, e.Profile.calls)) entries in
+  Alcotest.(check (list (pair string int)))
+    "same phases and units of work" (units first) (units second);
   List.iter
     (fun e ->
       Alcotest.(check bool) (e.Profile.phase ^ ": wall time recorded") true
-        (e.Profile.calls = 0 || e.Profile.wall_s >= 0.))
-    par;
-  Alcotest.(check bool) "pooled total wall positive" true (Profile.total_wall () > 0.)
+        (e.Profile.wall_s >= 0.))
+    second;
+  Alcotest.(check bool) "total wall positive" true (Profile.total_wall () > 0.)
 
 (* ------------------------------------------------------------------ *)
 (* CLI: --trace must not change a byte of output, and the trace must
@@ -531,6 +516,38 @@ let test_effort_hook_invisible () =
       Alcotest.(check int) "reset zeroes the tables" 0
         (Ac_obs.Effort.total_applications ()))
 
+(* The per-rule counters are exact: the pipeline mints every theorem on
+   one domain, so two translations of the same unit count the same
+   applications, rule by rule. *)
+let test_effort_counts_exact () =
+  let src =
+    match
+      List.find_opt
+        (fun p -> p.Ac_codegen.p_name = "capdl-sysinit-like")
+        Ac_codegen.profiles
+    with
+    | Some p -> Ac_codegen.generate p
+    | None -> Alcotest.fail "no capdl-sysinit-like profile"
+  in
+  Ac_kernel.Thm.set_obs_hook (Some Ac_obs.Effort.on_rule);
+  Ac_obs.Effort.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Ac_obs.Effort.set_enabled false;
+      Ac_kernel.Thm.set_obs_hook None;
+      Ac_obs.Effort.reset ())
+    (fun () ->
+      let counted () =
+        Ac_obs.Effort.reset ();
+        ignore (Driver.run ~options:keep_going src);
+        (Ac_obs.Effort.rule_counts (), Ac_obs.Effort.total_applications ())
+      in
+      let counts1, total1 = counted () in
+      let counts2, total2 = counted () in
+      Alcotest.(check bool) "rule applications counted" true (total1 > 0);
+      Alcotest.(check int) "same total" total1 total2;
+      Alcotest.(check (list (pair string int))) "same per-rule counts" counts1 counts2)
+
 (* ------------------------------------------------------------------ *)
 (* PR 10: OpenMetrics text exposition.  Every sample line must parse,
    histogram buckets are cumulative with per-bucket [le] bounds ending
@@ -620,8 +637,8 @@ let suite =
       test_metrics_multidomain;
     Alcotest.test_case "spans: nesting, ctx, exports" `Quick test_span_nesting_unit;
     QCheck_alcotest.to_alcotest prop_traced_faulted_wellformed;
-    Alcotest.test_case "profile: pooled run matches sequential units" `Slow
-      test_profile_pool_merge;
+    Alcotest.test_case "profile: a rerun records the same units of work" `Slow
+      test_profile_rerun_same_units;
     Alcotest.test_case "cli: --trace is byte-invisible and validates" `Slow
       test_cli_trace_byte_identical;
     Alcotest.test_case "serve: status latency + metrics verb" `Slow
@@ -633,6 +650,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_ring_harvest_wellformed;
     Alcotest.test_case "kernel hook: counted, invisible in results" `Slow
       test_effort_hook_invisible;
+    Alcotest.test_case "kernel hook: per-rule counts exact across runs" `Slow
+      test_effort_counts_exact;
     Alcotest.test_case "openmetrics: exposition parses and adds up" `Quick
       test_openmetrics_exposition;
   ]

@@ -1,5 +1,5 @@
 (* PR 3's performance layer: term-order/equality consistency, hash-cons
-   soundness, the memoized derivation checker, and the parallel driver.
+   soundness and the memoized derivation checker.
 
    The ordering/equality properties are the bugfix half (compare_t used to
    ignore the sort on Var, so ordered containers could identify terms that
@@ -10,10 +10,7 @@ module B = Ac_bignum
 module T = Ac_prover.Term
 module Driver = Autocorres.Driver
 module Check_cache = Autocorres.Check_cache
-module Pool = Autocorres.Pool
-module Diag = Autocorres.Diag
 module Thm = Ac_kernel.Thm
-module Mprint = Ac_monad.Mprint
 module Csources = Ac_cases.Csources
 
 (* ------------------------------------------------------------------ *)
@@ -85,136 +82,13 @@ let props =
         if ab <= 0 && bc <= 0 then T.compare_t a c <= 0 else true);
     Test.make ~name:"hash-cons soundness: hc a == hc b <=> equal a b" ~count:2000
       arb_pair
-      (fun (a, b) ->
-        let was = !T.hc_enabled in
-        T.hc_enabled := true;
-        let r = T.hc a == T.hc b in
-        T.hc_enabled := was;
-        r = T.equal a b);
+      (fun (a, b) -> (T.hc a == T.hc b) = T.equal a b);
     Test.make ~name:"hc preserves the term" ~count:1000
       (QCheck.make ~print:T.to_string gen_term)
-      (fun a ->
-        let was = !T.hc_enabled in
-        T.hc_enabled := true;
-        let r = T.equal (T.hc a) a in
-        T.hc_enabled := was;
-        r);
+      (fun a -> T.equal (T.hc a) a);
   ]
 
-(* ------------------------------------------------------------------ *)
-(* The worker pool is observably List.map. *)
-
-let test_pool_map_order () =
-  let xs = List.init 100 Fun.id in
-  Alcotest.(check (list int))
-    "ordered results" (List.map (fun x -> x * x) xs)
-    (Pool.map ~jobs:4 (fun x -> x * x) xs)
-
-let test_pool_first_failure () =
-  let xs = List.init 50 Fun.id in
-  let f x = if x >= 10 then failwith (string_of_int x) else x in
-  match Pool.map ~jobs:4 f xs with
-  | _ -> Alcotest.fail "expected an exception"
-  | exception Failure m ->
-    Alcotest.(check string) "lowest-index failure wins" "10" m
-
-let test_pool_reuse () =
-  let pool = Pool.create ~jobs:4 in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown pool)
-    (fun () ->
-      let xs = List.init 40 Fun.id in
-      Alcotest.(check (list int))
-        "first map" (List.map succ xs)
-        (Pool.map_on pool succ xs);
-      Alcotest.(check (list int))
-        "second map on the same pool"
-        (List.map (fun x -> x * 3) xs)
-        (Pool.map_on pool (fun x -> x * 3) xs))
-
-(* Regression for the missed-wakeup race: a worker that slept through an
-   entire map (every item drained before it woke) used to exit its wait
-   loop after [map_on] had torn the task down and die on the missing
-   task, which poisoned the next [shutdown].  Many tiny maps on a pool
-   much wider than the work make missed maps overwhelmingly likely. *)
-let test_pool_missed_wakeup () =
-  let pool = Pool.create ~jobs:8 in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown pool)
-    (fun () ->
-      for i = 1 to 200 do
-        Alcotest.(check (list int)) "tiny map" [ i ] (Pool.map_on pool Fun.id [ i ])
-      done)
-
-(* ------------------------------------------------------------------ *)
-(* The parallel driver is observably the sequential driver.  Everything
-   the caller can see must match: per-function levels, final bodies,
-   skip lists, diagnostics, budget accounting. *)
-
-let opts jobs =
-  { Driver.default_options with Driver.keep_going = true; jobs }
-
-let fingerprint (res : Driver.result) : string =
-  let b = Buffer.create 4096 in
-  List.iter
-    (fun fr ->
-      Buffer.add_string b fr.Driver.fr_name;
-      Buffer.add_string b (Driver.level_name (Driver.level_of fr));
-      Buffer.add_string b (if fr.Driver.fr_chain = None then "-" else "+");
-      Buffer.add_string b (Mprint.func_to_string fr.Driver.fr_final);
-      List.iter (fun (p, w) -> Buffer.add_string b (p ^ ":" ^ w)) fr.Driver.fr_skipped)
-    res.Driver.funcs;
-  List.iter
-    (fun (d : Driver.degraded) ->
-      Buffer.add_string b d.Driver.dg_name;
-      Buffer.add_string b (Driver.level_name (Driver.degraded_level d)))
-    res.Driver.degraded;
-  List.iter (fun d -> Buffer.add_string b (Diag.to_string d)) res.Driver.diags;
-  Buffer.add_string b (string_of_int res.Driver.budget_hits);
-  Buffer.contents b
-
-let test_driver_jobs_differential () =
-  List.iter
-    (fun (name, src) ->
-      let seq = Driver.run ~options:(opts 1) src in
-      let par = Driver.run ~options:(opts 4) src in
-      Alcotest.(check string)
-        (name ^ ": --jobs 4 output = --jobs 1 output")
-        (fingerprint seq) (fingerprint par))
-    Csources.all
-
-(* The same differential through the real binary: `acc translate
-   --diag-json --jobs 4` must be byte-identical to `--jobs 1`. *)
-let acc_exe = Filename.concat (Sys.getcwd ()) "../bin/acc.exe"
-
-let run_acc args file =
-  let out = Filename.temp_file "acc_out" ".txt" in
-  let cmd =
-    Printf.sprintf "%s %s %s > %s 2> /dev/null" (Filename.quote acc_exe) args
-      (Filename.quote file) (Filename.quote out)
-  in
-  let code = Sys.command cmd in
-  let ic = open_in_bin out in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  Sys.remove out;
-  (code, s)
-
-let test_cli_jobs_differential () =
-  Alcotest.(check bool) "acc.exe present" true (Sys.file_exists acc_exe);
-  List.iter
-    (fun (name, src) ->
-      let file = Filename.temp_file "acc_jobs" ".c" in
-      let oc = open_out file in
-      output_string oc src;
-      close_out oc;
-      let code1, out1 = run_acc "translate --keep-going --diag-json --jobs 1" file in
-      let code4, out4 = run_acc "translate --keep-going --diag-json --jobs 4" file in
-      Sys.remove file;
-      Alcotest.(check int) (name ^ ": same exit code") code1 code4;
-      Alcotest.(check string) (name ^ ": same --diag-json output") out1 out4)
-    Csources.all
+let opts = { Driver.default_options with Driver.keep_going = true }
 
 (* ------------------------------------------------------------------ *)
 (* Cached vs uncached derivation checking: over every theorem the corpus
@@ -224,7 +98,7 @@ let test_cli_jobs_differential () =
 let test_check_differential () =
   List.iter
     (fun (name, src) ->
-      let res = Driver.run ~options:(opts 1) src in
+      let res = Driver.run ~options:opts src in
       Alcotest.(check bool)
         (name ^ ": uncached accepts") true
         (Driver.check_all ~cached:false res = Ok ());
@@ -242,7 +116,7 @@ let test_check_differential () =
    empty, re-runs the same inferences against premises they cannot
    reproduce.  Both the uncached and the cached checker must reject. *)
 let test_check_rejects_corruption () =
-  let res = Driver.run ~options:(opts 1) Csources.gcd_c in
+  let res = Driver.run ~options:opts Csources.gcd_c in
   let fr = List.hd res.Driver.funcs in
   let chain =
     match fr.Driver.fr_chain with
@@ -283,7 +157,7 @@ let test_check_rejects_corruption () =
 let test_components_check_under_run_ctx () =
   List.iter
     (fun (name, src) ->
-      let res = Driver.run ~options:(opts 1) src in
+      let res = Driver.run ~options:opts src in
       List.iter
         (fun fr ->
           List.iter
@@ -300,12 +174,6 @@ let test_components_check_under_run_ctx () =
 let suite =
   List.map QCheck_alcotest.to_alcotest props
   @ [
-      ("pool map preserves order", `Quick, test_pool_map_order);
-      ("pool re-raises the first failure", `Quick, test_pool_first_failure);
-      ("pool survives reuse across maps", `Quick, test_pool_reuse);
-      ("pool survives missed wakeups", `Quick, test_pool_missed_wakeup);
-      ("driver --jobs differential over corpus", `Slow, test_driver_jobs_differential);
-      ("CLI --diag-json --jobs differential", `Slow, test_cli_jobs_differential);
       ("cached vs uncached check over corpus", `Slow, test_check_differential);
       ("both check modes reject corruption", `Quick, test_check_rejects_corruption);
       ( "components check under the run context",

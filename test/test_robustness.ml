@@ -20,8 +20,6 @@ module Thm = Ac_kernel.Thm
 module Driver = Autocorres.Driver
 module Diag = Autocorres.Diag
 module Faults = Autocorres.Faults
-module Pool = Autocorres.Pool
-module Supervisor = Autocorres.Supervisor
 module Store = Ac_store.Store
 module Mprint = Ac_monad.Mprint
 module Csources = Ac_cases.Csources
@@ -167,18 +165,11 @@ let prop_fault_schedules =
       Thm.set_fault_hook (Some (fun _rule -> hit ()));
       Solver.set_fault_hook (Some hit);
       Ac_analysis.set_fault_hook (Some hit);
-      (* Layer domain-crash and transient-I/O faults on top of the
-         kernel/solver/analysis schedule: worker crashes are retried and
-         quarantined by the supervisor, I/O faults hit the store hooks
-         (when the schedule puts a store in play) and degrade to
-         misses. *)
+      (* Layer transient-I/O faults on top of the kernel/solver/analysis
+         schedule: they hit the store hooks (when the schedule puts a
+         store in play) and degrade to misses. *)
       Faults.install
-        {
-          Faults.default with
-          Faults.seed;
-          worker_crash = float_of_int (rate mod 150) /. 1000.;
-          io_error = float_of_int (rate mod 250) /. 1000.;
-        };
+        { Faults.default with Faults.seed; io_error = float_of_int (rate mod 250) /. 1000. };
       let store =
         if rate land 1 = 1 then
           match Store.open_ ~dir:(Lazy.force fault_store_dir) () with
@@ -210,146 +201,6 @@ let prop_fault_schedules =
           | Ok () -> true
           | Error e -> Test.fail_reportf "emitted theorem failed Thm.check: %s" e
         end)
-
-(* ------------------------------------------------------------------ *)
-(* Worker supervision: an injected worker-domain crash never loses a
-   function result.  Crash injection fires at task dispatch — before the
-   work function runs — so under retry and quarantine the work runs
-   exactly once per item and the output is byte-identical to a
-   fault-free run. *)
-
-let with_faults cfg f = Faults.install cfg; Fun.protect ~finally:Faults.clear f
-
-let crash_all ~seed = { Faults.default with Faults.worker_crash = 1.0; seed }
-
-(* The full observable surface, same shape as the --jobs differential in
-   test_perf_layer: names, levels, final bodies, skips, degradations,
-   diagnostics, budget accounting. *)
-let fingerprint (res : Driver.result) : string =
-  let b = Buffer.create 4096 in
-  List.iter
-    (fun fr ->
-      Buffer.add_string b fr.Driver.fr_name;
-      Buffer.add_string b (Driver.level_name (Driver.level_of fr));
-      Buffer.add_string b (if fr.Driver.fr_chain = None then "-" else "+");
-      Buffer.add_string b (Mprint.func_to_string fr.Driver.fr_final);
-      List.iter (fun (p, w) -> Buffer.add_string b (p ^ ":" ^ w)) fr.Driver.fr_skipped)
-    res.Driver.funcs;
-  List.iter
-    (fun (d : Driver.degraded) ->
-      Buffer.add_string b d.Driver.dg_name;
-      Buffer.add_string b (Driver.level_name (Driver.degraded_level d)))
-    res.Driver.degraded;
-  List.iter (fun d -> Buffer.add_string b (Diag.to_string d)) res.Driver.diags;
-  Buffer.add_string b (string_of_int res.Driver.budget_hits);
-  Buffer.contents b
-
-let test_pool_crash_isolated () =
-  let p = Pool.create ~jobs:2 in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown p)
-    (fun () ->
-      let f x =
-        Unix.sleepf 0.005;
-        if x = 3 then raise (Pool.Crash "boom");
-        x * 2
-      in
-      let slots = Pool.map_outcomes p f [ 0; 1; 2; 3; 4; 5; 6; 7 ] in
-      Array.iteri
-        (fun i o ->
-          match o with
-          | Pool.Done v -> Alcotest.(check int) "value" (i * 2) v
-          | Pool.Lost _ -> Alcotest.(check int) "only item 3 lost" 3 i
-          | Pool.Failed _ -> Alcotest.fail "unexpected Failed")
-        slots;
-      (match slots.(3) with
-      | Pool.Lost _ -> ()
-      | _ -> Alcotest.fail "item 3 should be Lost");
-      ignore (Pool.respawn p);
-      let again = Pool.map_outcomes p (fun x -> x + 1) [ 10; 20; 30 ] in
-      Array.iteri
-        (fun i o ->
-          match o with
-          | Pool.Done v ->
-            Alcotest.(check int) "pool usable after respawn" ([| 11; 21; 31 |]).(i) v
-          | _ -> Alcotest.fail "lost/failed item after respawn")
-        again)
-
-let test_supervisor_quarantine_sequential () =
-  let sup = Supervisor.create ~seed:42 () in
-  with_faults (crash_all ~seed:9) (fun () ->
-      let out = Supervisor.map sup (fun x -> x * x) [ 1; 2; 3; 4 ] in
-      Alcotest.(check (list int)) "results survive total crash injection"
-        [ 1; 4; 9; 16 ] out);
-  let st = Supervisor.stats sup in
-  Alcotest.(check int) "every item quarantined" 4 st.Supervisor.quarantined;
-  Alcotest.(check int) "one retry per item" 4 st.Supervisor.retries;
-  Alcotest.(check bool) "crashes counted" true (st.Supervisor.crashes >= 4)
-
-let test_supervisor_quarantine_pooled () =
-  let p = Pool.create ~jobs:3 in
-  let sup = Supervisor.create ~seed:1 () in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown p)
-    (fun () ->
-      with_faults (crash_all ~seed:5) (fun () ->
-          let out = Supervisor.map sup ~pool:p (fun x -> x + 100) [ 1; 2; 3; 4; 5; 6 ] in
-          Alcotest.(check (list int)) "no item lost under total worker loss"
-            [ 101; 102; 103; 104; 105; 106 ] out);
-      let st = Supervisor.stats sup in
-      Alcotest.(check int) "all items quarantined" 6 st.Supervisor.quarantined;
-      Alcotest.(check bool) "crashes counted" true (st.Supervisor.crashes >= 6);
-      (* Faults cleared: the same pool must be healthy again. *)
-      let again = Supervisor.map sup ~pool:p (fun x -> x * 2) [ 1; 2; 3 ] in
-      Alcotest.(check (list int)) "pool healthy after faults cleared" [ 2; 4; 6 ] again)
-
-let test_driver_crash_byte_identical () =
-  List.iter
-    (fun jobs ->
-      let options = { keep_going with Driver.jobs } in
-      let clean = Driver.run ~options two_funcs in
-      let res =
-        with_faults (crash_all ~seed:17) (fun () -> Driver.run ~options two_funcs)
-      in
-      let label = Printf.sprintf "jobs=%d" jobs in
-      Alcotest.(check string) (label ^ ": byte-identical to the fault-free run")
-        (fingerprint clean) (fingerprint res);
-      Alcotest.(check bool) (label ^ ": quarantines counted") true
-        (res.Driver.quarantined > 0);
-      Alcotest.(check bool) (label ^ ": retries counted") true (res.Driver.retries > 0);
-      Alcotest.(check bool) (label ^ ": still certifies") true
-        (Driver.check_all res = Ok ()))
-    [ 1; 4 ]
-
-(* Randomised version of the same guarantee: any crash rate, any seed,
-   any corpus source — the supervised result is byte-identical to the
-   fault-free baseline. *)
-let prop_crash_byte_identical =
-  let open QCheck in
-  let baselines = Hashtbl.create 8 in
-  let baseline src =
-    match Hashtbl.find_opt baselines src with
-    | Some fp -> fp
-    | None ->
-      let fp = fingerprint (Driver.run ~options:keep_going src) in
-      Hashtbl.add baselines src fp;
-      fp
-  in
-  Test.make ~name:"worker crashes never change the output" ~count:60
-    (triple (int_bound 0x3FFFFFF) (int_bound 1000)
-       (int_bound (List.length fault_sources - 1)))
-    (fun (seed, rate, src_ix) ->
-      let src = List.nth fault_sources src_ix in
-      let expect = baseline src in
-      let got =
-        with_faults
-          { Faults.default with
-            Faults.seed;
-            worker_crash = float_of_int rate /. 1000. }
-          (fun () -> fingerprint (Driver.run ~options:keep_going src))
-      in
-      if String.equal expect got then true
-      else Test.fail_reportf "output diverged under worker-crash faults (seed %d rate %d)" seed rate)
 
 (* ------------------------------------------------------------------ *)
 (* Resource budgets: exhaustion degrades instead of hanging/crashing. *)
@@ -621,19 +472,44 @@ let test_cli_budget_flags () =
   Alcotest.(check bool) "budget exhaustions surfaced" true
     (not (contains out "\"budget_exhaustions\":0"))
 
+(* Fault specs name only the faults the harness can inject: a spec naming
+   anything else is rejected (a typo silently injecting nothing would
+   defeat a soak), through the parser and through $ACC_FAULTS alike.  The
+   CLI likewise rejects options it no longer has. *)
+let test_fault_spec_parse () =
+  (match Faults.parse "io_error:0.05,slow:0.01,seed:42,slow_ms:20" with
+  | Ok c ->
+    Alcotest.(check (float 1e-9)) "io_error rate" 0.05 c.Faults.io_error;
+    Alcotest.(check (float 1e-9)) "slow rate" 0.01 c.Faults.slow;
+    Alcotest.(check int) "seed" 42 c.Faults.seed;
+    Alcotest.(check (float 1e-9)) "slow_ms" 0.02 c.Faults.slow_s
+  | Error m -> Alcotest.failf "valid spec rejected: %s" m);
+  (match Faults.parse "worker_crash:0.1" with
+  | Ok _ -> Alcotest.fail "worker_crash accepted"
+  | Error m -> Alcotest.(check bool) "unknown fault named" true (contains m "unknown fault"));
+  let file = Filename.temp_file "acc_faults" ".c" in
+  let oc = open_out_bin file in
+  output_string oc Csources.max_c;
+  close_out oc;
+  let code =
+    Sys.command
+      (Printf.sprintf "ACC_FAULTS=worker_crash:0.1 %s translate --no-store %s > /dev/null 2>&1"
+         (Filename.quote acc_exe) (Filename.quote file))
+  in
+  let jobs_code, _, jobs_err = run_acc "translate --no-store --jobs 2" file in
+  Sys.remove file;
+  Alcotest.(check int) "ACC_FAULTS=worker_crash:0.1 is a usage error" 2 code;
+  (* Translation runs on one domain; there is no worker-count option. *)
+  Alcotest.(check int) "--jobs is a command-line usage error" 124 jobs_code;
+  Alcotest.(check bool) "--jobs named as unknown" true
+    (contains jobs_err "unknown option '--jobs'")
+
 let suite =
   [
     ("a deliberate failure degrades one function to Simpl", `Quick, test_isolation_simpl);
     ("a lifting failure degrades one function to L1", `Quick, test_isolation_l1);
     ("a word-abstraction failure is a recoverable skip", `Quick, test_isolation_wa_skip);
     ("without --keep-going the failure raises Diag.Error", `Quick, test_fail_fast_raises);
-    ("a worker crash loses only the item it held", `Quick, test_pool_crash_isolated);
-    ("repeated crashes quarantine the item (sequential)", `Quick,
-      test_supervisor_quarantine_sequential);
-    ("repeated crashes quarantine the item (pooled)", `Quick,
-      test_supervisor_quarantine_pooled);
-    ("driver output is byte-identical under total crash injection", `Quick,
-      test_driver_crash_byte_identical);
     ("SIGTERM during an in-flight serve request", `Quick, test_serve_sigterm_in_flight);
     ("solver branch budget degrades to not-proved", `Quick, test_solver_budget);
     ("solver deadline degrades to not-proved", `Quick, test_solver_deadline);
@@ -647,12 +523,8 @@ let suite =
     ("CLI exit-code contract on the crash corpus", `Slow, test_cli_crash_corpus);
     ("CLI --diag-json machine output", `Quick, test_cli_diag_json);
     ("CLI budget flags surface exhaustions", `Quick, test_cli_budget_flags);
+    ("CLI rejects worker_crash faults and --jobs", `Quick, test_fault_spec_parse);
   ]
   |> List.map (fun (n, s, f) -> Alcotest.test_case n s f)
 
-let suite =
-  suite
-  @ [
-      QCheck_alcotest.to_alcotest prop_fault_schedules;
-      QCheck_alcotest.to_alcotest prop_crash_byte_identical;
-    ]
+let suite = suite @ [ QCheck_alcotest.to_alcotest prop_fault_schedules ]

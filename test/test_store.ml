@@ -44,8 +44,7 @@ let open_store ?tag dir =
 let run ?tag ~dir ?(options = opts) src =
   Driver.run ~options ~store:(open_store ?tag dir) src
 
-(* Everything the caller can observe (the same fingerprint the --jobs
-   differential uses). *)
+(* Everything the caller can observe. *)
 let fingerprint (res : Driver.result) : string =
   let b = Buffer.create 4096 in
   List.iter
