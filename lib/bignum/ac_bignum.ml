@@ -3,21 +3,37 @@
    The paper abstracts machine words into Isabelle/HOL's unbounded [int] and
    [nat] types.  OCaml's native [int] is 63-bit, which cannot faithfully model
    ideal integers (e.g. products of 64-bit words), so we implement a small
-   bignum substrate from scratch: sign-magnitude, little-endian base-2^16
-   digit arrays.  Values in this code base are a few hundred bits at most,
-   so multiplication and wide division stay schoolbook.  What the word layer
-   and the byte heap run per byte and per evaluation avoids that: [mod_pow2]
-   masks digits, and magnitudes that fit a native int convert and divide
-   natively. *)
+   bignum substrate from scratch.  A value is canonically one of two shapes:
+
+   - [Small n] for |n| < 2^61, a native int.  Nearly every value the
+     interpreters and the word layer touch is one (addresses, counters,
+     32-bit words), and two of them add, subtract and compare without
+     overflow checks, since |a ± b| < 2^62 fits the 63-bit int.
+   - [Big] for everything larger: sign-magnitude over little-endian
+     base-2^16 digit arrays.  Values in this code base are a few hundred
+     bits at most, so multiplication and wide division stay schoolbook.
+
+   Every operation takes a native fast path when its operands are small
+   and falls back to the digit arrays otherwise, converting a small
+   operand on the way in and re-canonicalising the result on the way out.
+   Canonicity makes the structural [=] on values agree with [equal], and
+   [hash] hashes the sign-magnitude form of either shape, so it returns
+   the same number for a value whichever shape holds it. *)
 
 let base_bits = 16
 let base = 1 lsl base_bits
 let base_mask = base - 1
 
-type t = {
+(* Sign-magnitude form: the [Big] payload, and the working form of every
+   digit-array algorithm below (where it may hold any value). *)
+type big = {
   sign : int; (* -1, 0 or 1; sign = 0 iff mag = [||] *)
   mag : int array; (* little-endian digits in [0, base), no leading zeros *)
 }
+
+type t =
+  | Small of int (* |n| < 2^61 *)
+  | Big of big (* |v| >= 2^61 *)
 
 exception Division_by_zero
 exception Negative_operand of string
@@ -194,89 +210,225 @@ let mag_divmod a b =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Construction. *)
+(* Sign-magnitude arithmetic: the slow path of every operation. *)
 
-let zero = { sign = 0; mag = [||] }
+let big_zero = { sign = 0; mag = [||] }
 
-let of_mag sign mag =
+let big_of_mag sign mag =
   let mag = mag_normalize mag in
-  if mag_is_zero mag then zero else { sign; mag }
+  if mag_is_zero mag then big_zero else { sign; mag }
 
-let of_int n =
-  if n = 0 then zero
+let big_of_int n =
+  if n = 0 then big_zero
   else if n = min_int then
     (* abs min_int overflows; its magnitude is 2^(int_size-1). *)
     { sign = -1; mag = mag_shift_left [| 1 |] (Sys.int_size - 1) }
   else { sign = (if n < 0 then -1 else 1); mag = mag_of_nat (Stdlib.abs n) }
 
-let one = of_int 1
-let two = of_int 2
-let minus_one = of_int (-1)
-
-let is_zero x = x.sign = 0
-let sign x = x.sign
-
-let compare a b =
+let big_compare a b =
   if a.sign <> b.sign then compare a.sign b.sign
   else if a.sign >= 0 then mag_compare a.mag b.mag
   else mag_compare b.mag a.mag
 
-let equal a b = compare a b = 0
-let lt a b = compare a b < 0
-let le a b = compare a b <= 0
-let gt a b = compare a b > 0
-let ge a b = compare a b >= 0
+let big_neg x = if x.sign = 0 then big_zero else { x with sign = -x.sign }
 
-let min a b = if le a b then a else b
-let max a b = if ge a b then a else b
-
-let neg x = if x.sign = 0 then zero else { x with sign = -x.sign }
-let abs x = if x.sign < 0 then neg x else x
-
-let add a b =
+let big_add a b =
   if a.sign = 0 then b
   else if b.sign = 0 then a
   else if a.sign = b.sign then { sign = a.sign; mag = mag_add a.mag b.mag }
   else begin
     let c = mag_compare a.mag b.mag in
-    if c = 0 then zero
+    if c = 0 then big_zero
     else if c > 0 then { sign = a.sign; mag = mag_sub a.mag b.mag }
     else { sign = b.sign; mag = mag_sub b.mag a.mag }
   end
 
-let sub a b = add a (neg b)
-
-let mul a b =
-  if a.sign = 0 || b.sign = 0 then zero
+let big_mul a b =
+  if a.sign = 0 || b.sign = 0 then big_zero
   else { sign = a.sign * b.sign; mag = mag_mul a.mag b.mag }
+
+(* Truncated: the quotient rounds toward zero, the remainder takes the
+   dividend's sign. *)
+let big_divmod a b =
+  if b.sign = 0 then raise Division_by_zero;
+  let q, r = mag_divmod a.mag b.mag in
+  (big_of_mag (a.sign * b.sign) q, big_of_mag a.sign r)
+
+let big_pow2 n = big_of_mag 1 (mag_shift_left [| 1 |] n)
+
+let big_shift_left x n = if x.sign = 0 then big_zero else { x with mag = mag_shift_left x.mag n }
+
+let big_bitwise f a b =
+  let la = Array.length a.mag and lb = Array.length b.mag in
+  let lr = Stdlib.max la lb in
+  let r = Array.make (Stdlib.max lr 1) 0 in
+  for i = 0 to lr - 1 do
+    let da = if i < la then a.mag.(i) else 0 in
+    let db = if i < lb then b.mag.(i) else 0 in
+    r.(i) <- f da db
+  done;
+  big_of_mag 1 r
+
+(* A [Big] fits a native int only from 2^61 to max_int in magnitude, or at
+   min_int, whose magnitude wraps to itself. *)
+let big_to_int_opt x =
+  if big_compare x (big_of_int max_int) <= 0 && big_compare x (big_of_int min_int) >= 0 then begin
+    let v = ref 0 in
+    for i = Array.length x.mag - 1 downto 0 do
+      v := (!v * base) + x.mag.(i)
+    done;
+    Some (if x.sign < 0 then - !v else !v)
+  end
+  else None
+
+let big_to_float x =
+  let l = Array.length x.mag in
+  let v = ref 0.0 in
+  for i = l - 1 downto 0 do
+    v := (!v *. float_of_int base) +. float_of_int x.mag.(i)
+  done;
+  if x.sign < 0 then -. !v else !v
+
+(* Modular reduction to [0, 2^n): the low n bits of the magnitude are a
+   mask over its digits; a negative x = -m maps to 2^n - (m mod 2^n)
+   unless that remainder is zero. *)
+let big_mod_pow2 x n =
+  let d = n / base_bits and o = n mod base_bits in
+  let la = Array.length x.mag in
+  let low =
+    if d >= la then x.mag
+    else begin
+      let r = Array.sub x.mag 0 (d + 1) in
+      r.(d) <- r.(d) land ((1 lsl o) - 1);
+      mag_normalize r
+    end
+  in
+  if mag_is_zero low then big_zero
+  else if x.sign > 0 then if low == x.mag then x else { sign = 1; mag = low }
+  else { sign = 1; mag = mag_sub (mag_shift_left [| 1 |] n) low }
+
+(* ------------------------------------------------------------------ *)
+(* The canonical hybrid. *)
+
+let small_bound = 1 lsl 61
+let fits n = n < small_bound && n > -small_bound
+
+let of_int n = if fits n then Small n else Big (big_of_int n)
+
+let to_big = function
+  | Small n -> big_of_int n
+  | Big b -> b
+
+(* At most 61 significant bits: three digits, or four with a top digit
+   below 2^13. *)
+let of_big b =
+  let l = Array.length b.mag in
+  if l < 4 || (l = 4 && b.mag.(3) < 1 lsl 13) then Small (b.sign * nat_of_mag b.mag) else Big b
+
+let zero = Small 0
+let one = Small 1
+let two = Small 2
+let minus_one = Small (-1)
+
+let is_zero = function
+  | Small n -> n = 0
+  | Big _ -> false
+
+let sign = function
+  | Small n -> if n > 0 then 1 else if n < 0 then -1 else 0
+  | Big b -> b.sign
+
+(* A [Big] lies outside every [Small], on the side of its sign. *)
+let compare a b =
+  match (a, b) with
+  | Small x, Small y -> Int.compare x y
+  | Small _, Big y -> -y.sign
+  | Big x, Small _ -> x.sign
+  | Big x, Big y -> big_compare x y
+
+let equal a b =
+  match (a, b) with
+  | Small x, Small y -> x = y
+  | Big x, Big y -> x.sign = y.sign && mag_compare x.mag y.mag = 0
+  | Small _, Big _ | Big _, Small _ -> false
+
+let lt a b = match (a, b) with Small x, Small y -> x < y | _ -> compare a b < 0
+let le a b = match (a, b) with Small x, Small y -> x <= y | _ -> compare a b <= 0
+let gt a b = match (a, b) with Small x, Small y -> x > y | _ -> compare a b > 0
+let ge a b = match (a, b) with Small x, Small y -> x >= y | _ -> compare a b >= 0
+
+let min a b = if le a b then a else b
+let max a b = if ge a b then a else b
+
+let neg = function
+  | Small n -> Small (-n)
+  | Big b -> Big { b with sign = -b.sign }
+
+let abs x = if sign x < 0 then neg x else x
+
+let add a b =
+  match (a, b) with
+  | Small x, Small y -> of_int (x + y)
+  | _ -> of_big (big_add (to_big a) (to_big b))
+
+let sub a b =
+  match (a, b) with
+  | Small x, Small y -> of_int (x - y)
+  | _ -> of_big (big_add (to_big a) (big_neg (to_big b)))
+
+(* Both factors below 2^30 cannot overflow; otherwise the native product is
+   kept when dividing it back recovers the factor (with |x| < 2^61 the
+   only other overflow witness, min_int / -1, cannot arise). *)
+let mul a b =
+  match (a, b) with
+  | Small x, Small y when Stdlib.abs x lor Stdlib.abs y < 1 lsl 30 -> Small (x * y)
+  | Small x, Small y when x <> 0 && (x * y) / x = y -> of_int (x * y)
+  | _ -> of_big (big_mul (to_big a) (to_big b))
 
 (* Truncated division (like OCaml's / and mod): quotient rounds toward zero,
    remainder has the sign of the dividend. *)
 let divmod a b =
-  if b.sign = 0 then raise Division_by_zero;
-  let q, r = mag_divmod a.mag b.mag in
-  let quot = of_mag (a.sign * b.sign) q in
-  let rem = of_mag a.sign r in
-  (quot, rem)
+  match (a, b) with
+  | _, Small 0 -> raise Division_by_zero
+  | Small x, Small y -> (Small (x / y), Small (x mod y))
+  | _ ->
+    let q, r = big_divmod (to_big a) (to_big b) in
+    (of_big q, of_big r)
 
-let div a b = fst (divmod a b)
-let rem a b = snd (divmod a b)
+let div a b =
+  match (a, b) with
+  | _, Small 0 -> raise Division_by_zero
+  | Small x, Small y -> Small (x / y)
+  | _ -> fst (divmod a b)
+
+let rem a b =
+  match (a, b) with
+  | _, Small 0 -> raise Division_by_zero
+  | Small x, Small y -> Small (x mod y)
+  | _ -> snd (divmod a b)
 
 (* Flooring division: quotient rounds toward negative infinity; remainder has
    the sign of the divisor.  Used to implement modular reduction. *)
 let fdivmod a b =
   let q, r = divmod a b in
-  if is_zero r || r.sign = b.sign then (q, r) else (sub q one, add r b)
+  if is_zero r || sign r = sign b then (q, r) else (sub q one, add r b)
 
 let fdiv a b = fst (fdivmod a b)
-let fmod a b = snd (fdivmod a b)
+
+let fmod a b =
+  match (a, b) with
+  | _, Small 0 -> raise Division_by_zero
+  | Small x, Small y ->
+    let r = x mod y in
+    if r <> 0 && r lxor y < 0 then Small (r + y) else Small r
+  | _ -> snd (fdivmod a b)
 
 let succ x = add x one
 let pred x = sub x one
 
 let pow2 n =
   if n < 0 then invalid_arg "Ac_bignum.pow2";
-  of_mag 1 (mag_shift_left [| 1 |] n)
+  if n < 61 then Small (1 lsl n) else Big (big_pow2 n)
 
 let pow b n =
   if n < 0 then invalid_arg "Ac_bignum.pow";
@@ -291,37 +443,41 @@ let pow b n =
 
 let shift_left x n =
   if n < 0 then invalid_arg "Ac_bignum.shift_left";
-  if x.sign = 0 then zero else { x with mag = mag_shift_left x.mag n }
+  match x with
+  | Small v when n < 62 && (v lsl n) asr n = v -> of_int (v lsl n)
+  | _ -> of_big (big_shift_left (to_big x) n)
 
 (* Arithmetic shift right: floor (x / 2^n). *)
 let shift_right x n =
   if n < 0 then invalid_arg "Ac_bignum.shift_right";
-  if x.sign >= 0 then of_mag 1 (mag_shift_right x.mag n)
-  else fdiv x (pow2 n)
+  match x with
+  | Small v -> Small (if n < 62 then v asr n else if v < 0 then -1 else 0)
+  | Big b when b.sign > 0 -> of_big (big_of_mag 1 (mag_shift_right b.mag n))
+  | Big _ -> fdiv x (pow2 n)
 
 let test_bit x i =
-  if x.sign < 0 then raise (Negative_operand "test_bit");
-  mag_test_bit x.mag i
+  if sign x < 0 then raise (Negative_operand "test_bit");
+  match x with
+  | Small v when i >= 0 -> i < 62 && (v lsr i) land 1 = 1
+  | _ -> mag_test_bit (to_big x).mag i
 
-let bit_length x = mag_bit_length x.mag
+let bit_length = function
+  | Small v ->
+    let rec width k m = if m = 0 then k else width (k + 1) (m lsr 1) in
+    width 0 (Stdlib.abs v)
+  | Big b -> mag_bit_length b.mag
 
 (* Bitwise operations, defined on non-negative values only.  The word layer
    normalises to the unsigned representative before calling these. *)
-let bitwise name f a b =
-  if a.sign < 0 || b.sign < 0 then raise (Negative_operand name);
-  let la = Array.length a.mag and lb = Array.length b.mag in
-  let lr = Stdlib.max la lb in
-  let r = Array.make (Stdlib.max lr 1) 0 in
-  for i = 0 to lr - 1 do
-    let da = if i < la then a.mag.(i) else 0 in
-    let db = if i < lb then b.mag.(i) else 0 in
-    r.(i) <- f da db
-  done;
-  of_mag 1 r
+let bitwise name small_op digit_op a b =
+  if sign a < 0 || sign b < 0 then raise (Negative_operand name);
+  match (a, b) with
+  | Small x, Small y -> Small (small_op x y)
+  | _ -> of_big (big_bitwise digit_op (to_big a) (to_big b))
 
-let logand a b = bitwise "logand" ( land ) a b
-let logor a b = bitwise "logor" ( lor ) a b
-let logxor a b = bitwise "logxor" ( lxor ) a b
+let logand a b = bitwise "logand" ( land ) ( land ) a b
+let logor a b = bitwise "logor" ( lor ) ( lor ) a b
+let logxor a b = bitwise "logxor" ( lxor ) ( lxor ) a b
 
 let gcd a b =
   let rec go a b = if is_zero b then a else go b (rem a b) in
@@ -330,55 +486,37 @@ let gcd a b =
 (* ------------------------------------------------------------------ *)
 (* Conversions. *)
 
-let to_int_opt x =
-  (* Valid for |x| <= max_int; min_int handled via the positive branch. *)
-  let l = Array.length x.mag in
-  if l * base_bits <= 62 then begin
-    let v = ref 0 in
-    for i = l - 1 downto 0 do
-      v := (!v lsl base_bits) lor x.mag.(i)
-    done;
-    Some (if x.sign < 0 then - !v else !v)
-  end
-  else begin
-    match compare x (of_int max_int) <= 0 && compare x (of_int min_int) >= 0 with
-    | true ->
-      let v = ref 0 in
-      for i = l - 1 downto 0 do
-        v := (!v * base) + x.mag.(i)
-      done;
-      Some (if x.sign < 0 then - !v else !v)
-    | false -> None
-  end
+let to_int_opt = function
+  | Small n -> Some n
+  | Big b -> big_to_int_opt b
 
 let to_int_exn x =
   match to_int_opt x with
   | Some v -> v
   | None -> failwith "Ac_bignum.to_int_exn: out of native range"
 
-let to_float x =
-  let l = Array.length x.mag in
-  let v = ref 0.0 in
-  for i = l - 1 downto 0 do
-    v := (!v *. float_of_int base) +. float_of_int x.mag.(i)
-  done;
-  if x.sign < 0 then -. !v else !v
+(* Below 2^53 every partial sum of the digit-wise conversion is exact, so
+   it equals the correctly rounded [float_of_int]. *)
+let to_float = function
+  | Small n when Stdlib.abs n < 1 lsl 53 -> float_of_int n
+  | x -> big_to_float (to_big x)
 
 let ten = of_int 10
 
-let to_string x =
-  if x.sign = 0 then "0"
-  else begin
+let to_string = function
+  | Small n -> string_of_int n
+  | Big b as x ->
     let buf = Buffer.create 16 in
-    let rec digits v = if is_zero v then () else begin
-      let q, r = divmod v ten in
-      digits q;
-      Buffer.add_char buf (Char.chr (Char.code '0' + to_int_exn r))
-    end
+    let rec digits v =
+      if is_zero v then ()
+      else begin
+        let q, r = divmod v ten in
+        digits q;
+        Buffer.add_char buf (Char.chr (Char.code '0' + to_int_exn r))
+      end
     in
     digits (abs x);
-    (if x.sign < 0 then "-" else "") ^ Buffer.contents buf
-  end
+    (if b.sign < 0 then "-" else "") ^ Buffer.contents buf
 
 let of_string s =
   let s = String.trim s in
@@ -416,31 +554,30 @@ let of_string s =
 
 let pp fmt x = Format.pp_print_string fmt (to_string x)
 
-let hash x = Hashtbl.hash (x.sign, x.mag)
+(* The hash of the sign-magnitude form, whichever shape holds the value:
+   hash-consing tables key on it, and it is the same number the
+   digit-array representation always hashed to. *)
+let hash x =
+  let b = to_big x in
+  Hashtbl.hash (b.sign, b.mag)
 
 (* Modular reduction to [0, 2^n): the C unsigned-overflow semantics, equal
-   to [fmod x (pow2 n)].  The low n bits of the magnitude are a mask over
-   its digits; a negative x = -m maps to 2^n - (m mod 2^n) unless that
-   remainder is zero.  The kernel reaches this through [Absdom], so the
-   test suite checks it against [fmod] on random signed inputs. *)
+   to [fmod x (pow2 n)].  A small operand is masked natively whenever the
+   result is small too, which is every width up to 61 bits; wider
+   reductions mask digits.  The kernel reaches this through [Absdom], so
+   the test suite checks it against [fmod] on random signed inputs. *)
 let mod_pow2 x n =
   if n < 0 then invalid_arg "Ac_bignum.mod_pow2";
-  let d = n / base_bits and o = n mod base_bits in
-  let la = Array.length x.mag in
-  let low =
-    if d >= la then x.mag
-    else begin
-      let r = Array.sub x.mag 0 (d + 1) in
-      r.(d) <- r.(d) land ((1 lsl o) - 1);
-      mag_normalize r
-    end
-  in
-  if mag_is_zero low then zero
-  else if x.sign > 0 then if low == x.mag then x else { sign = 1; mag = low }
-  else { sign = 1; mag = mag_sub (mag_shift_left [| 1 |] n) low }
+  match x with
+  | Small v when n <= 61 ->
+    let m = v land ((1 lsl n) - 1) in
+    if m = v then x else Small m
+  | Small v when v >= 0 -> x
+  | _ -> of_big (big_mod_pow2 (to_big x) n)
 
 (* Reduction to the signed two's-complement range [-2^(n-1), 2^(n-1)). *)
 let signed_mod_pow2 x n =
   if n < 1 then invalid_arg "Ac_bignum.signed_mod_pow2";
-  let r = mod_pow2 x n in
-  if mag_test_bit r.mag (n - 1) then sub r (pow2 n) else r
+  match mod_pow2 x n with
+  | Small v as r when n <= 61 -> if v land (1 lsl (n - 1)) <> 0 then Small (v - (1 lsl n)) else r
+  | r -> if test_bit r (n - 1) then sub r (pow2 n) else r

@@ -153,14 +153,16 @@ let param_convs (res : Driver.result) fname : J.conv list option =
   | Some (pcs, _) -> Some pcs
   | None -> None
 
-let run_case (res : Driver.result) fname (args : Value.t list) (state : State.t) : verdict =
+(* [abstract] is [res.final_prog], compiled once for every function and case. *)
+let run_case (res : Driver.result) (abstract : Interp.compiled) fname (args : Value.t list)
+    (state : State.t) : verdict =
   let concrete () = Sem.run_func res.Driver.simpl ~fuel state fname args in
   let abstract_args =
     match param_convs res fname with
     | Some pcs -> List.map2 J.apply_conv pcs args
     | None -> args
   in
-  match Interp.run_func res.Driver.final_prog ~fuel state fname abstract_args with
+  match Interp.run abstract ~fuel state fname abstract_args with
   | Interp.Fails _ -> Abstract_failed
   | Interp.Diverges -> Skipped "abstract diverges (fuel)"
   | Interp.Gets_stuck m -> Violation ("abstract stuck: " ^ m)
@@ -198,13 +200,14 @@ type report = {
   violations : (string * string) list; (* function, description *)
 }
 
-let check_function ?(cases = 100) ?(seed = 0xC0FFEE) (res : Driver.result) fname : report =
+let check_function ?(cases = 100) ?(seed = 0xC0FFEE) (res : Driver.result) abstract fname :
+    report =
   let rand = Random.State.make [| seed; Hashtbl.hash fname |] in
   let agreed = ref 0 and failed = ref 0 and skipped = ref 0 in
   let violations = ref [] in
   for _ = 1 to cases do
     let args, state = random_case res rand fname in
-    match run_case res fname args state with
+    match run_case res abstract fname args state with
     | Agree -> incr agreed
     | Abstract_failed -> incr failed
     | Skipped _ -> incr skipped
@@ -219,9 +222,10 @@ let check_function ?(cases = 100) ?(seed = 0xC0FFEE) (res : Driver.result) fname
   }
 
 let check_program ?(cases = 100) ?seed (res : Driver.result) : report =
+  let abstract = Interp.compile res.Driver.final_prog in
   List.fold_left
     (fun acc fr ->
-      let r = check_function ~cases ?seed res fr.Driver.fr_name in
+      let r = check_function ~cases ?seed res abstract fr.Driver.fr_name in
       {
         cases = acc.cases + r.cases;
         agreed = acc.agreed + r.agreed;

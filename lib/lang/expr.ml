@@ -510,6 +510,14 @@ let span_ok lenv c addr =
   let limit = B.pow2 (W.bits (Layout.ptr_width lenv)) in
   (not (B.is_zero addr)) && B.le (B.add addr size) limit
 
+(* Booleans are shared constants and an ideal result is wrapped by a
+   top-level function, so comparing or combining two ideals allocates
+   nothing beyond the result itself. *)
+let vtrue = Value.Vbool true
+let vfalse = Value.Vbool false
+let vbool b = if b then vtrue else vfalse
+let ideal is_nat n = if is_nat then Value.Vnat n else Value.Vint n
+
 let eval_binop op (a : Value.t) (b : Value.t) : Value.t =
   let module V = Value in
   match (a, b) with
@@ -525,53 +533,52 @@ let eval_binop op (a : Value.t) (b : Value.t) : Value.t =
     | Band -> V.Vword (s, W.logand x y)
     | Bor -> V.Vword (s, W.logor x y)
     | Bxor -> V.Vword (s, W.logxor x y)
-    | Eq -> V.Vbool (W.equal x y)
-    | Ne -> V.Vbool (not (W.equal x y))
-    | Lt -> V.Vbool (W.compare s x y < 0)
-    | Le -> V.Vbool (W.compare s x y <= 0)
-    | Gt -> V.Vbool (W.compare s x y > 0)
-    | Ge -> V.Vbool (W.compare s x y >= 0)
+    | Eq -> vbool (W.equal x y)
+    | Ne -> vbool (not (W.equal x y))
+    | Lt -> vbool (W.compare s x y < 0)
+    | Le -> vbool (W.compare s x y <= 0)
+    | Gt -> vbool (W.compare s x y > 0)
+    | Ge -> vbool (W.compare s x y >= 0)
     | And | Or | Imp -> stuck "boolean op on words")
   | (V.Vint x | V.Vnat x), (V.Vint y | V.Vnat y) -> (
     let is_nat = match (a, b) with V.Vnat _, V.Vnat _ -> true | _ -> false in
-    let wrap n = if is_nat then V.Vnat n else V.Vint n in
     match op with
-    | Add -> wrap (B.add x y)
+    | Add -> ideal is_nat (B.add x y)
     | Sub ->
       (* ℕ subtraction is truncated (Isabelle's monus); ℤ is exact. *)
       if is_nat then V.Vnat (B.max B.zero (B.sub x y)) else V.Vint (B.sub x y)
-    | Mul -> wrap (B.mul x y)
-    | Div -> if B.is_zero y then stuck "division by zero" else wrap (B.div x y)
-    | Rem -> if B.is_zero y then stuck "remainder by zero" else wrap (B.rem x y)
-    | Shl -> wrap (B.shift_left x (B.to_int_exn y))
-    | Shr -> wrap (B.shift_right x (B.to_int_exn y))
-    | Band -> wrap (B.logand x y)
-    | Bor -> wrap (B.logor x y)
-    | Bxor -> wrap (B.logxor x y)
-    | Eq -> V.Vbool (B.equal x y)
-    | Ne -> V.Vbool (not (B.equal x y))
-    | Lt -> V.Vbool (B.lt x y)
-    | Le -> V.Vbool (B.le x y)
-    | Gt -> V.Vbool (B.gt x y)
-    | Ge -> V.Vbool (B.ge x y)
+    | Mul -> ideal is_nat (B.mul x y)
+    | Div -> if B.is_zero y then stuck "division by zero" else ideal is_nat (B.div x y)
+    | Rem -> if B.is_zero y then stuck "remainder by zero" else ideal is_nat (B.rem x y)
+    | Shl -> ideal is_nat (B.shift_left x (B.to_int_exn y))
+    | Shr -> ideal is_nat (B.shift_right x (B.to_int_exn y))
+    | Band -> ideal is_nat (B.logand x y)
+    | Bor -> ideal is_nat (B.logor x y)
+    | Bxor -> ideal is_nat (B.logxor x y)
+    | Eq -> vbool (B.equal x y)
+    | Ne -> vbool (not (B.equal x y))
+    | Lt -> vbool (B.lt x y)
+    | Le -> vbool (B.le x y)
+    | Gt -> vbool (B.gt x y)
+    | Ge -> vbool (B.ge x y)
     | And | Or | Imp -> stuck "boolean op on ideals")
   | V.Vptr (x, c), V.Vptr (y, _) -> (
     match op with
-    | Eq -> V.Vbool (B.equal x y)
-    | Ne -> V.Vbool (not (B.equal x y))
-    | Lt -> V.Vbool (B.lt x y)
-    | Le -> V.Vbool (B.le x y)
-    | Gt -> V.Vbool (B.gt x y)
-    | Ge -> V.Vbool (B.ge x y)
+    | Eq -> vbool (B.equal x y)
+    | Ne -> vbool (not (B.equal x y))
+    | Lt -> vbool (B.lt x y)
+    | Le -> vbool (B.le x y)
+    | Gt -> vbool (B.gt x y)
+    | Ge -> vbool (B.ge x y)
     | Sub -> V.Vint (B.sub x y)
     | _ -> stuck "pointer op %s" (Ty.cty_to_string c))
   | V.Vbool x, V.Vbool y -> (
     match op with
-    | And -> V.Vbool (x && y)
-    | Or -> V.Vbool (x || y)
-    | Imp -> V.Vbool ((not x) || y)
-    | Eq -> V.Vbool (x = y)
-    | Ne -> V.Vbool (x <> y)
+    | And -> vbool (x && y)
+    | Or -> vbool (x || y)
+    | Imp -> vbool ((not x) || y)
+    | Eq -> vbool (x = y)
+    | Ne -> vbool (x <> y)
     | _ -> stuck "arith on bools")
   | _ -> stuck "binop on %s and %s" (V.to_string a) (V.to_string b)
 
@@ -580,9 +587,9 @@ let rec eval (view : view) (env : Value.t SMap.t) (e : t) : Value.t =
   match e with
   | Const v -> v
   | Var (v, _) -> (
-    match SMap.find_opt v env with
-    | Some x -> x
-    | None -> stuck "unbound variable %s" v)
+    match SMap.find v env with
+    | x -> x
+    | exception Not_found -> stuck "unbound variable %s" v)
   | Global (g, _) -> view.read_global g
   | Unop (op, x) -> (
     let v = eval view env x in
@@ -591,7 +598,7 @@ let rec eval (view : view) (env : Value.t SMap.t) (e : t) : Value.t =
     | Neg, V.Vint n -> V.Vint (B.neg n)
     | Neg, V.Vnat n -> V.Vint (B.neg n)
     | Bnot, V.Vword (s, w) -> V.Vword (s, W.lognot w)
-    | Not, V.Vbool b -> V.Vbool (not b)
+    | Not, V.Vbool b -> vbool (not b)
     | _ -> stuck "unop on %s" (V.to_string v))
   | Binop (And, x, y) ->
     (* Short-circuit, so guards can protect later conjuncts. *)
@@ -628,24 +635,23 @@ let rec eval (view : view) (env : Value.t SMap.t) (e : t) : Value.t =
     view.typed_read c a
   | IsValid (c, p) ->
     let a, _ = V.as_ptr (eval view env p) in
-    V.Vbool (view.is_valid c a)
+    vbool (view.is_valid c a)
   | PtrAligned (c, p) ->
     let a, _ = V.as_ptr (eval view env p) in
-    V.Vbool (aligned view.lenv c a)
+    vbool (aligned view.lenv c a)
   | PtrSpan (c, p) ->
     let a, _ = V.as_ptr (eval view env p) in
-    V.Vbool (span_ok view.lenv c a)
+    vbool (span_ok view.lenv c a)
   | PtrAdd (c, p, n) ->
     let a, _ = V.as_ptr (eval view env p) in
-    let count = V.numeric (eval view env n) in
-    let size = B.of_int (Layout.size_of view.lenv c) in
-    let bits = W.bits (Layout.ptr_width view.lenv) in
     (* Count is interpreted signedly when the index is a signed word. *)
     let count =
       match eval view env n with
       | V.Vword (Signed, w) -> W.sint w
-      | _ -> count
+      | v -> V.numeric v
     in
+    let size = B.of_int (Layout.size_of view.lenv c) in
+    let bits = W.bits (Layout.ptr_width view.lenv) in
     V.Vptr (B.mod_pow2 (B.add a (B.mul count size)) bits, c)
   | FieldAddr (sname, fname, p) ->
     let a, _ = V.as_ptr (eval view env p) in

@@ -52,18 +52,6 @@ let vstate lenv st = { st; view = view lenv st }
 
 let with_locals vs locals = { vs with st = { vs.st with State.locals } }
 
-(* Per-run context: the program and its callees, each looked up in the
-   function list on its first call of the run and kept for the rest. *)
-type run = { prog : program; mutable callees : func option SMap.t }
-
-let callee rt fname =
-  match SMap.find_opt fname rt.callees with
-  | Some f -> f
-  | None ->
-    let f = find_func rt.prog fname in
-    rt.callees <- SMap.add fname f rt.callees;
-    f
-
 (* Lambda-bound variables shadow state-resident locals of the same name; at
    L1 env is empty and locals provide everything. *)
 let eval vs env e = E.eval vs.view (SMap.union (fun _ v _ -> Some v) env vs.st.State.locals) e
@@ -106,80 +94,11 @@ let apply_smod lenv (vs : vstate) (env : Value.t SMap.t) (sm : smod) : vstate =
     | Value.Vptr (addr, _) -> with_heap (Heap.retype lenv s.State.heap c addr)
     | _ -> E.stuck "retype through non-pointer")
 
-(* The final state keeps its view for the continuation. *)
-type outcome =
-  | Ok of res * vstate
-  | Failed of string (* the monad's failure flag: guard violation or fail *)
-  | Stuck of string
-  | Out_of_fuel
+let rec apply_smods lenv env vs = function
+  | [] -> vs
+  | sm :: sms -> apply_smods lenv env (apply_smod lenv vs env sm) sms
 
-let rec exec (rt : run) (fuel : int) (env : Value.t SMap.t) (vs : vstate) (m : M.t) : outcome =
-  if fuel <= 0 then Out_of_fuel
-  else begin
-    let lenv = rt.prog.lenv in
-    match m with
-    | Return e | Gets e -> ( try Ok (Rnorm (eval vs env e), vs) with E.Eval_stuck msg -> Stuck msg)
-    | Modify sms -> (
-      try Ok (Rnorm Value.Vunit, List.fold_left (fun vs sm -> apply_smod lenv vs env sm) vs sms)
-      with E.Eval_stuck msg -> Stuck msg)
-    | Guard (k, e) -> (
-      match eval vs env e with
-      | Value.Vbool true -> Ok (Rnorm Value.Vunit, vs)
-      | Value.Vbool false -> Failed (Ir.guard_kind_name k)
-      | _ -> Stuck "non-boolean guard"
-      | exception E.Eval_stuck msg -> Stuck msg)
-    | Fail -> Failed "fail"
-    | Throw e -> ( try Ok (Rexc (eval vs env e), vs) with E.Eval_stuck msg -> Stuck msg)
-    | Unknown t -> Ok (Rnorm (default_of_ty rt.prog t), vs)
-    | Bind (a, p, b) -> (
-      match exec rt fuel env vs a with
-      | Ok (Rnorm v, vs') -> (
-        match bind_pat p v env with
-        | env' -> exec rt fuel env' vs' b
-        | exception E.Eval_stuck msg -> Stuck msg)
-      | other -> other)
-    | Try (a, p, handler) -> (
-      match exec rt fuel env vs a with
-      | Ok (Rexc v, vs') -> (
-        match bind_pat p v env with
-        | env' -> exec rt fuel env' vs' handler
-        | exception E.Eval_stuck msg -> Stuck msg)
-      | other -> other)
-    | Cond (c, a, b) -> (
-      match eval vs env c with
-      | Value.Vbool true -> exec rt fuel env vs a
-      | Value.Vbool false -> exec rt fuel env vs b
-      | _ -> Stuck "non-boolean condition"
-      | exception E.Eval_stuck msg -> Stuck msg)
-    | While (p, cond, body, init) -> (
-      match eval vs env init with
-      | exception E.Eval_stuck msg -> Stuck msg
-      | i ->
-        let rec loop fuel i vs =
-          if fuel <= 0 then Out_of_fuel
-          else begin
-            let env' = bind_pat p i env in
-            match eval vs env' cond with
-            | Value.Vbool false -> Ok (Rnorm i, vs)
-            | Value.Vbool true -> (
-              match exec rt (fuel - 1) env' vs body with
-              | Ok (Rnorm i', vs') -> loop (fuel - 1) i' vs'
-              | other -> other)
-            | _ -> Stuck "non-boolean loop condition"
-            | exception E.Eval_stuck msg -> Stuck msg
-          end
-        in
-        loop fuel i vs)
-    | Call (fname, args) | Exec_concrete (fname, args) -> (
-      match callee rt fname with
-      | None -> Stuck ("call to unknown function " ^ fname)
-      | Some f -> (
-        match eval_args vs env args with
-        | exception E.Eval_stuck msg -> Stuck msg
-        | arg_vals -> exec_func rt (fuel - 1) vs f arg_vals))
-  end
-
-and default_of_ty prog (t : Ty.t) : Value.t =
+let rec default_of_ty lenv (t : Ty.t) : Value.t =
   match t with
   | Ty.Tunit -> Value.Vunit
   | Ty.Tbool -> Value.Vbool false
@@ -187,34 +106,92 @@ and default_of_ty prog (t : Ty.t) : Value.t =
   | Ty.Tint -> Value.Vint B.zero
   | Ty.Tnat -> Value.Vnat B.zero
   | Ty.Tptr c -> Value.null c
-  | Ty.Tstruct n -> Value.default prog.lenv (Ty.Cstruct n)
-  | Ty.Ttuple ts -> Value.Vtuple (List.map (default_of_ty prog) ts)
+  | Ty.Tstruct n -> Value.default lenv (Ty.Cstruct n)
+  | Ty.Ttuple ts -> Value.Vtuple (List.map (default_of_ty lenv) ts)
+
+(* The final state keeps its view for the continuation. *)
+type outcome =
+  | Ok of res * vstate
+  | Failed of string (* the monad's failure flag: guard violation or fail *)
+  | Stuck of string
+  | Out_of_fuel
+
+(* ------------------------------------------------------------------ *)
+(* Compilation.
+
+   [compile] turns each function of a program into closures once, so a
+   run dispatches on no term, looks up no callee by name and re-derives no
+   calling convention.  The semantics is the tree walk's, node for node:
+   every node refuses to start without fuel, a call or a loop iteration
+   spends one unit, and sub-terms are evaluated in the same order with the
+   same stuck messages, so the same failure is reported at the same point.
+   Expressions still go through the one evaluator, [E.eval]. *)
+
+type code = int -> Value.t SMap.t -> vstate -> outcome
+
+(* A function's slot exists before any body is compiled, so a call site
+   resolves its callee at compile time even when the callee (or the caller
+   itself, under recursion) is compiled later. *)
+type slot = {
+  func : func;
+  params : string list;
+  nparams : int;
+  mutable body : code;
+}
+
+type compiled = { lenv : Layout.env; slots : slot SMap.t }
+
+let unit_res = Rnorm Value.Vunit
+
+(* Pattern binding, specialised on the pattern's shape. *)
+let compile_pat (p : pat) : Value.t -> Value.t SMap.t -> Value.t SMap.t =
+  match p with
+  | Pwild -> fun _ env -> env
+  | Pvar (x, _) -> fun v env -> SMap.add x v env
+  | Ptuple _ -> bind_pat p
+
+let bind_params params args =
+  List.fold_left2 (fun m p v -> SMap.add p v m) SMap.empty params args
+
+(* A lambda-bound callee's environment, built while its arguments are
+   evaluated left to right; equal to [bind_params] of [eval_args]. *)
+let rec bind_args vs env params args acc =
+  match (params, args) with
+  | p :: ps, e :: es -> bind_args vs env ps es (SMap.add p (eval vs env e) acc)
+  | _ -> acc
+
+let rec loop body bind cond env fuel i vs =
+  if fuel <= 0 then Out_of_fuel
+  else begin
+    let env' = bind i env in
+    match eval vs env' cond with
+    | Value.Vbool false -> Ok (Rnorm i, vs)
+    | Value.Vbool true -> (
+      match body (fuel - 1) env' vs with
+      | Ok (Rnorm i', vs') -> loop body bind cond env (fuel - 1) i' vs'
+      | other -> other)
+    | _ -> Stuck "non-boolean loop condition"
+    | exception E.Eval_stuck msg -> Stuck msg
+  end
 
 (* Run a function body under its calling convention; the caller's locals are
    saved and restored around state-resident callees. *)
-and exec_func rt fuel (vs : vstate) (f : func) (args : Value.t list) : outcome =
-  if List.length args <> List.length f.params then
-    Stuck (Printf.sprintf "%s: arity mismatch" f.name)
+let enter lenv (sl : slot) fuel (vs : vstate) (args : Value.t list) : outcome =
+  if List.length args <> sl.nparams then Stuck (Printf.sprintf "%s: arity mismatch" sl.func.name)
   else begin
-    match f.convention with
+    match sl.func.convention with
     | Lambda_bound ->
-      let env =
-        List.fold_left2 (fun m (p, _) v -> SMap.add p v m) SMap.empty f.params args
-      in
       (* A tail call, so tail recursion in the program runs in constant stack. *)
-      exec rt fuel env vs f.body
+      sl.body fuel (bind_params sl.params args) vs
     | Locals_in_state -> (
       (* Parameters bound, declared locals default-initialised (matching the
          Simpl semantics and the lifting phase's default substitution). *)
-      let with_params =
-        List.fold_left2 (fun m (p, _) v -> SMap.add p v m) SMap.empty f.params args
-      in
       let callee_locals =
         List.fold_left
-          (fun m (x, t) -> if SMap.mem x m then m else SMap.add x (default_of_ty rt.prog t) m)
-          with_params f.locals
+          (fun m (x, t) -> if SMap.mem x m then m else SMap.add x (default_of_ty lenv t) m)
+          (bind_params sl.params args) sl.func.locals
       in
-      match exec rt fuel SMap.empty (with_locals vs callee_locals) f.body with
+      match sl.body fuel SMap.empty (with_locals vs callee_locals) with
       | Ok (_, vs') ->
         (* Result: the ret ghost local if the callee has one. *)
         let rv =
@@ -226,6 +203,124 @@ and exec_func rt fuel (vs : vstate) (f : func) (args : Value.t list) : outcome =
       | other -> other)
   end
 
+let rec compile_m lenv (slots : slot SMap.t) (m : M.t) : code =
+  let compile = compile_m lenv slots in
+  match m with
+  | Return e | Gets e -> (
+    fun fuel env vs ->
+      if fuel <= 0 then Out_of_fuel
+      else match eval vs env e with v -> Ok (Rnorm v, vs) | exception E.Eval_stuck msg -> Stuck msg)
+  | Modify sms -> (
+    fun fuel env vs ->
+      if fuel <= 0 then Out_of_fuel
+      else
+        match apply_smods lenv env vs sms with
+        | vs' -> Ok (unit_res, vs')
+        | exception E.Eval_stuck msg -> Stuck msg)
+  | Guard (k, e) -> (
+    let kind = Ir.guard_kind_name k in
+    fun fuel env vs ->
+      if fuel <= 0 then Out_of_fuel
+      else
+        match eval vs env e with
+        | Value.Vbool true -> Ok (unit_res, vs)
+        | Value.Vbool false -> Failed kind
+        | _ -> Stuck "non-boolean guard"
+        | exception E.Eval_stuck msg -> Stuck msg)
+  | Fail -> fun fuel _ _ -> if fuel <= 0 then Out_of_fuel else Failed "fail"
+  | Throw e -> (
+    fun fuel env vs ->
+      if fuel <= 0 then Out_of_fuel
+      else match eval vs env e with v -> Ok (Rexc v, vs) | exception E.Eval_stuck msg -> Stuck msg)
+  | Unknown t ->
+    fun fuel _ vs -> if fuel <= 0 then Out_of_fuel else Ok (Rnorm (default_of_ty lenv t), vs)
+  | Bind (a, Pwild, b) -> (
+    let a = compile a and b = compile b in
+    fun fuel env vs ->
+      if fuel <= 0 then Out_of_fuel
+      else match a fuel env vs with Ok (Rnorm _, vs') -> b fuel env vs' | other -> other)
+  | Bind (a, Pvar (x, _), b) -> (
+    let a = compile a and b = compile b in
+    fun fuel env vs ->
+      if fuel <= 0 then Out_of_fuel
+      else match a fuel env vs with Ok (Rnorm v, vs') -> b fuel (SMap.add x v env) vs' | other -> other)
+  | Bind (a, p, b) -> (
+    let a = compile a and b = compile b and bind = compile_pat p in
+    fun fuel env vs ->
+      if fuel <= 0 then Out_of_fuel
+      else
+        match a fuel env vs with
+        | Ok (Rnorm v, vs') -> (
+          match bind v env with
+          | env' -> b fuel env' vs'
+          | exception E.Eval_stuck msg -> Stuck msg)
+        | other -> other)
+  | Try (a, p, handler) -> (
+    let a = compile a and handler = compile handler and bind = compile_pat p in
+    fun fuel env vs ->
+      if fuel <= 0 then Out_of_fuel
+      else
+        match a fuel env vs with
+        | Ok (Rexc v, vs') -> (
+          match bind v env with
+          | env' -> handler fuel env' vs'
+          | exception E.Eval_stuck msg -> Stuck msg)
+        | other -> other)
+  | Cond (c, a, b) -> (
+    let a = compile a and b = compile b in
+    fun fuel env vs ->
+      if fuel <= 0 then Out_of_fuel
+      else
+        match eval vs env c with
+        | Value.Vbool true -> a fuel env vs
+        | Value.Vbool false -> b fuel env vs
+        | _ -> Stuck "non-boolean condition"
+        | exception E.Eval_stuck msg -> Stuck msg)
+  | While (p, cond, body, init) -> (
+    let body = compile body and bind = compile_pat p in
+    fun fuel env vs ->
+      if fuel <= 0 then Out_of_fuel
+      else
+        match eval vs env init with
+        | exception E.Eval_stuck msg -> Stuck msg
+        | i -> loop body bind cond env fuel i vs)
+  | Call (fname, args) | Exec_concrete (fname, args) -> (
+    match SMap.find_opt fname slots with
+    | None ->
+      let msg = "call to unknown function " ^ fname in
+      fun fuel _ _ -> if fuel <= 0 then Out_of_fuel else Stuck msg
+    | Some ({ func = { convention = Lambda_bound; _ }; _ } as sl)
+      when List.length args = sl.nparams -> (
+      fun fuel env vs ->
+        if fuel <= 0 then Out_of_fuel
+        else
+          match bind_args vs env sl.params args SMap.empty with
+          | exception E.Eval_stuck msg -> Stuck msg
+          | env' -> sl.body (fuel - 1) env' vs)
+    | Some sl -> (
+      fun fuel env vs ->
+        if fuel <= 0 then Out_of_fuel
+        else
+          match eval_args vs env args with
+          | exception E.Eval_stuck msg -> Stuck msg
+          | arg_vals -> enter lenv sl (fuel - 1) vs arg_vals))
+
+(* Calls resolve to the first function of a name, like [M.find_func]. *)
+let compile (prog : program) : compiled =
+  let slots =
+    List.fold_left
+      (fun slots f ->
+        if SMap.mem f.name slots then slots
+        else begin
+          let params = List.map fst f.params in
+          let body _ _ _ = invalid_arg "Interp: function run before compilation" in
+          SMap.add f.name { func = f; params; nparams = List.length params; body } slots
+        end)
+      SMap.empty prog.funcs
+  in
+  SMap.iter (fun _ sl -> sl.body <- compile_m prog.lenv slots sl.func.body) slots;
+  { lenv = prog.lenv; slots }
+
 (* Convenience runner mirroring Simpl's [run_func]. *)
 type run_result =
   | Returns of Value.t * State.t
@@ -234,14 +329,16 @@ type run_result =
   | Gets_stuck of string
   | Diverges
 
-let run_func (prog : program) ~fuel (s : State.t) fname (args : Value.t list) : run_result =
-  let rt = { prog; callees = SMap.empty } in
-  match callee rt fname with
+let run (c : compiled) ~fuel (s : State.t) fname (args : Value.t list) : run_result =
+  match SMap.find_opt fname c.slots with
   | None -> Gets_stuck ("unknown function " ^ fname)
-  | Some f -> (
-    match exec_func rt fuel (vstate prog.lenv s) f args with
+  | Some sl -> (
+    match enter c.lenv sl fuel (vstate c.lenv s) args with
     | Ok (Rnorm v, vs) -> Returns (v, vs.st)
     | Ok (Rexc v, vs) -> Throws (v, vs.st)
     | Failed m -> Fails m
     | Stuck m -> Gets_stuck m
     | Out_of_fuel -> Diverges)
+
+(* The only way to execute a program: compile, then run. *)
+let run_func (prog : program) ~fuel s fname args = run (compile prog) ~fuel s fname args

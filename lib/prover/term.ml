@@ -166,12 +166,11 @@ module PhysTbl = Hashtbl.Make (struct
   let hash = Hashtbl.hash
 end)
 
-(* Per-domain memo of the full structural hash of interned nodes (see the
+(* Memo of the full structural hash of interned nodes (see the
    hash-consing section below; [intern] populates it, [hc_clear] drops
-   it).  A node is in this table iff it is this domain's canonical
-   representative — [intern] also uses membership as its O(1) fast path. *)
-let hash_memo_key : int PhysTbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> PhysTbl.create 1024)
+   it).  A node is in this table iff it is the canonical representative —
+   [intern] also uses membership as its O(1) fast path. *)
+let hash_memo : int PhysTbl.t = PhysTbl.create 1024
 
 (* Full structural hash, consistent with [equal]: integer leaves go
    through [B.hash] (the polymorphic hash would be wrong on any
@@ -184,7 +183,7 @@ let hash_memo_key : int PhysTbl.t Domain.DLS.key =
 let comb acc h = ((acc * 65599) + h) land max_int
 
 let rec hash_t (t : t) : int =
-  match PhysTbl.find_opt (Domain.DLS.get hash_memo_key) t with
+  match PhysTbl.find_opt hash_memo t with
   | Some h -> h
   | None -> (
     match t with
@@ -211,16 +210,16 @@ end)
 (* Hash-consing.
 
    [hc] returns the canonical, maximally-shared representative of a term:
-   for any [a] and [b], [hc a == hc b <=> equal a b] (within one domain).
+   for any [a] and [b], [hc a == hc b <=> equal a b].
    Canonical nodes also carry a unique id ([hc_id]), usable as a cheap
    hash key.  This is a pure performance layer: nothing in the kernel or
    the prover *relies* on sharing for soundness — the tables live outside
    any trusted code, and [equal] falls back to the structural walk for
    non-interned terms.
 
-   The state is domain-local, so no locking is needed and
-   physical-identity claims never cross domains.  The driver clears the
-   table per run. *)
+   The tables are plain module-level state: the pipeline runs on one
+   domain, and no other domain touches terms.  The driver clears them per
+   run. *)
 
 type hc_state = {
   hc_tbl : t Tbl.t; (* structural term -> canonical representative *)
@@ -228,13 +227,10 @@ type hc_state = {
   mutable hc_next : int;
 }
 
-let hc_key =
-  Domain.DLS.new_key (fun () ->
-      { hc_tbl = Tbl.create 1024; hc_ids = Tbl.create 1024; hc_next = 0 })
+let hc_st = { hc_tbl = Tbl.create 1024; hc_ids = Tbl.create 1024; hc_next = 0 }
 
 let rec intern (t : t) : t =
-  let memo = Domain.DLS.get hash_memo_key in
-  if PhysTbl.mem memo t then t (* already this domain's canonical node *)
+  if PhysTbl.mem hash_memo t then t (* already the canonical node *)
   else begin
     (* Canonicalise the children first (sharing them), THEN look the
        rebuilt node up: its children are interned, so hashing it costs
@@ -246,14 +242,13 @@ let rec intern (t : t) : t =
         let xs' = List.map intern xs in
         if List.for_all2 ( == ) xs xs' then t else App (f, xs')
     in
-    let st = Domain.DLS.get hc_key in
-    match Tbl.find_opt st.hc_tbl c with
+    match Tbl.find_opt hc_st.hc_tbl c with
     | Some canon -> canon
     | None ->
-      Tbl.replace st.hc_tbl c c;
-      st.hc_next <- st.hc_next + 1;
-      Tbl.replace st.hc_ids c st.hc_next;
-      PhysTbl.replace memo c (hash_t c);
+      Tbl.replace hc_st.hc_tbl c c;
+      hc_st.hc_next <- hc_st.hc_next + 1;
+      Tbl.replace hc_st.hc_ids c hc_st.hc_next;
+      PhysTbl.replace hash_memo c (hash_t c);
       c
   end
 
@@ -261,20 +256,18 @@ let hc = intern
 
 (* The unique id of a term's canonical representative. *)
 let hc_id (t : t) : int =
-  let st = Domain.DLS.get hc_key in
-  match Tbl.find_opt st.hc_ids (intern t) with Some i -> i | None -> assert false
+  match Tbl.find_opt hc_st.hc_ids (intern t) with Some i -> i | None -> assert false
 
-(* Number of distinct terms interned in this domain's table. *)
-let hc_size () = Tbl.length (Domain.DLS.get hc_key).hc_tbl
+(* Number of distinct terms interned. *)
+let hc_size () = Tbl.length hc_st.hc_tbl
 
-(* Drop this domain's table (the driver calls this per run, so canonical
-   nodes — and their ids — never leak across runs). *)
+(* Drop the tables (the driver calls this per run, so canonical nodes — and
+   their ids — never leak across runs). *)
 let hc_clear () =
-  let st = Domain.DLS.get hc_key in
-  Tbl.reset st.hc_tbl;
-  Tbl.reset st.hc_ids;
-  st.hc_next <- 0;
-  PhysTbl.reset (Domain.DLS.get hash_memo_key)
+  Tbl.reset hc_st.hc_tbl;
+  Tbl.reset hc_st.hc_ids;
+  hc_st.hc_next <- 0;
+  PhysTbl.reset hash_memo
 
 let children = function App (_, xs) -> xs | _ -> []
 

@@ -40,8 +40,10 @@ module J = Ac_kernel.Judgment
 (* Bump when the kernel rule base, the trace format, or anything else
    that replay depends on changes shape.  ruleset-2: [Absdom.cert]
    became a record carrying a summary table, entries gained
-   [e_sums_digest]. *)
-let ruleset_tag = "acc-store-1/ruleset-2"
+   [e_sums_digest].  ruleset-3: [Ac_bignum.t] became a small-int/digit-array
+   hybrid, and key images and payloads marshal bignums, so entries written
+   under the old shape must not be read back. *)
+let ruleset_tag = "acc-store-1/ruleset-3"
 
 let magic = "ACC-STORE v1\n"
 

@@ -623,6 +623,290 @@ let map_props =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* The hybrid [Ac_bignum] (native ints below 2^61, digit arrays above)
+   against [Ref_bignum], the all-digit-array implementation it replaced:
+   every operation of the interface must return the same value — compared
+   by decimal text and by [hash], which must not have changed — and raise
+   the same exception.  Operands sit on both sides of each boundary the
+   representation has (2^30 for the overflow-free product, 2^61 for the
+   small range, 2^62..2^64 at and past the native int) and beyond. *)
+
+module R = Ref_bignum
+
+(* How an operand is built, replayed in each implementation. *)
+type operand =
+  | Native of int (* of_int, the whole native range *)
+  | Near of bool * int * int (* ±(2^k + delta) *)
+  | Digits of bool * int list (* ±(base-2^16 digits, most significant first) *)
+
+let build_r = function
+  | Native n -> R.of_int n
+  | Near (neg, k, d) ->
+    let v = R.add (R.shift_left R.one k) (R.of_int d) in
+    if neg then R.neg v else v
+  | Digits (neg, ds) ->
+    let v = List.fold_left (fun acc d -> R.add (R.shift_left acc 16) (R.of_int d)) R.zero ds in
+    if neg then R.neg v else v
+
+let build_b = function
+  | Native n -> B.of_int n
+  | Near (neg, k, d) ->
+    let v = B.add (B.shift_left B.one k) (B.of_int d) in
+    if neg then B.neg v else v
+  | Digits (neg, ds) ->
+    let v = List.fold_left (fun acc d -> B.add (B.shift_left acc 16) (B.of_int d)) B.zero ds in
+    if neg then B.neg v else v
+
+let gen_operand =
+  let open QCheck.Gen in
+  frequency
+    [ (2, map (fun n -> Native n) (oneof [ int; int_range (-100) 100; oneofl [ min_int; max_int ] ]));
+      ( 5,
+        map3
+          (fun neg k d -> Near (neg, k, d))
+          bool
+          (oneofl [ 0; 16; 29; 30; 31; 32; 47; 48; 60; 61; 62; 63; 64; 65; 96; 128 ])
+          (int_range (-4) 4) );
+      ( 3,
+        map2
+          (fun neg ds -> Digits (neg, ds))
+          bool
+          (list_size (int_range 0 9)
+             (frequency [ (3, int_range 0 0xFFFF); (1, oneofl [ 0; 1; 0x1FFF; 0x2000; 0xFFFF ]) ]))
+      ) ]
+
+let print_operand o = R.to_string (build_r o)
+
+(* A bit position, shift amount or width. *)
+let gen_bits =
+  QCheck.Gen.(
+    frequency
+      [ (3, oneofl [ 0; 1; 8; 16; 29; 30; 31; 32; 33; 48; 60; 61; 62; 63; 64; 65; 128 ]);
+        (1, int_range 0 140) ])
+
+let arb_bignum_case =
+  QCheck.make
+    ~print:(fun (a, b, n) -> Printf.sprintf "a=%s b=%s n=%d" (print_operand a) (print_operand b) n)
+    QCheck.Gen.(triple gen_operand gen_operand gen_bits)
+
+(* One rendering for both implementations' results and exceptions. *)
+let outcome f =
+  match f () with
+  | s -> s
+  | exception (R.Division_by_zero | B.Division_by_zero) -> "!Division_by_zero"
+  | exception (R.Negative_operand m | B.Negative_operand m) -> "!Negative_operand " ^ m
+  | exception Invalid_argument m -> "!Invalid_argument " ^ m
+  | exception Failure m -> "!Failure " ^ m
+
+(* Results are compared as sign and base-2^16 digits plus [hash]: decimal
+   text costs a long division per digit, so [to_string] is checked on the
+   operands only.  The hybrid's digits are read through its interface. *)
+let show_r (x : R.t) =
+  Printf.sprintf "%d[%s]#%d" x.R.sign
+    (String.concat "," (List.rev_map string_of_int (Array.to_list x.R.mag)))
+    (R.hash x)
+
+let digits_b x =
+  let rec go acc x = if B.is_zero x then acc else go (B.to_int_exn (B.mod_pow2 x 16) :: acc) (B.shift_right x 16) in
+  go [] (B.abs x)
+
+(* A hybrid result must also be canonical: structurally equal to the same
+   value rebuilt from its digits, so the polymorphic [=] keeps agreeing
+   with [B.equal]. *)
+let show_b x =
+  let ds = digits_b x in
+  let rebuilt = List.fold_left (fun acc d -> B.add (B.shift_left acc 16) (B.of_int d)) B.zero ds in
+  let rebuilt = if B.sign x < 0 then B.neg rebuilt else rebuilt in
+  Printf.sprintf "%d[%s]#%d" (B.sign x) (String.concat "," (List.map string_of_int ds)) (B.hash x)
+  ^ if x = rebuilt then "" else " (non-canonical)"
+
+let pair show (q, r) = show q ^ " , " ^ show r
+let sgn c = string_of_int (Int.compare c 0)
+
+let bignum_agrees (oa, ob, n) =
+  let ra = build_r oa and rb = build_r ob and ha = build_b oa and hb = build_b ob in
+  let text = R.to_string ra in
+  let strings = [ text; "+" ^ text; " " ^ text ^ " "; "0x" ^ string_of_int n ^ "fF"; "-0X1"; "-"; ""; "1a" ] in
+  let checks : (string * (unit -> string) * (unit -> string)) list =
+    [ ("build", (fun () -> show_r ra), fun () -> show_b ha);
+      ("to_string", (fun () -> R.to_string ra ^ " " ^ R.to_string rb),
+       fun () -> B.to_string ha ^ " " ^ B.to_string hb);
+      ("to_int_opt", (fun () -> match R.to_int_opt ra with Some v -> string_of_int v | None -> "none"),
+       fun () -> match B.to_int_opt ha with Some v -> string_of_int v | None -> "none");
+      ("to_int_exn", (fun () -> string_of_int (R.to_int_exn ra)), fun () -> string_of_int (B.to_int_exn ha));
+      ("to_float", (fun () -> Int64.to_string (Int64.bits_of_float (R.to_float ra))),
+       fun () -> Int64.to_string (Int64.bits_of_float (B.to_float ha)));
+      ("pp", (fun () -> Format.asprintf "%a" R.pp ra), fun () -> Format.asprintf "%a" B.pp ha);
+      ("is_zero", (fun () -> string_of_bool (R.is_zero ra)), fun () -> string_of_bool (B.is_zero ha));
+      ("sign", (fun () -> string_of_int (R.sign ra)), fun () -> string_of_int (B.sign ha));
+      ("compare", (fun () -> sgn (R.compare ra rb)), fun () -> sgn (B.compare ha hb));
+      ("equal", (fun () -> string_of_bool (R.equal ra rb)), fun () -> string_of_bool (B.equal ha hb));
+      ("lt", (fun () -> string_of_bool (R.lt ra rb)), fun () -> string_of_bool (B.lt ha hb));
+      ("le", (fun () -> string_of_bool (R.le ra rb)), fun () -> string_of_bool (B.le ha hb));
+      ("gt", (fun () -> string_of_bool (R.gt ra rb)), fun () -> string_of_bool (B.gt ha hb));
+      ("ge", (fun () -> string_of_bool (R.ge ra rb)), fun () -> string_of_bool (B.ge ha hb));
+      ("min", (fun () -> show_r (R.min ra rb)), fun () -> show_b (B.min ha hb));
+      ("max", (fun () -> show_r (R.max ra rb)), fun () -> show_b (B.max ha hb));
+      ("neg", (fun () -> show_r (R.neg ra)), fun () -> show_b (B.neg ha));
+      ("abs", (fun () -> show_r (R.abs ra)), fun () -> show_b (B.abs ha));
+      ("add", (fun () -> show_r (R.add ra rb)), fun () -> show_b (B.add ha hb));
+      ("sub", (fun () -> show_r (R.sub ra rb)), fun () -> show_b (B.sub ha hb));
+      ("mul", (fun () -> show_r (R.mul ra rb)), fun () -> show_b (B.mul ha hb));
+      ("succ", (fun () -> show_r (R.succ ra)), fun () -> show_b (B.succ ha));
+      ("pred", (fun () -> show_r (R.pred ra)), fun () -> show_b (B.pred ha));
+      ("divmod", (fun () -> pair show_r (R.divmod ra rb)), fun () -> pair show_b (B.divmod ha hb));
+      ("div", (fun () -> show_r (R.div ra rb)), fun () -> show_b (B.div ha hb));
+      ("rem", (fun () -> show_r (R.rem ra rb)), fun () -> show_b (B.rem ha hb));
+      ("fdivmod", (fun () -> pair show_r (R.fdivmod ra rb)), fun () -> pair show_b (B.fdivmod ha hb));
+      ("fdiv", (fun () -> show_r (R.fdiv ra rb)), fun () -> show_b (B.fdiv ha hb));
+      ("fmod", (fun () -> show_r (R.fmod ra rb)), fun () -> show_b (B.fmod ha hb));
+      ("pow2", (fun () -> show_r (R.pow2 n)), fun () -> show_b (B.pow2 n));
+      ("pow2 negative", (fun () -> show_r (R.pow2 (-n - 1))), fun () -> show_b (B.pow2 (-n - 1)));
+      ("pow", (fun () -> show_r (R.pow ra (n mod 4))), fun () -> show_b (B.pow ha (n mod 4)));
+      ("shift_left", (fun () -> show_r (R.shift_left ra n)), fun () -> show_b (B.shift_left ha n));
+      ("shift_right", (fun () -> show_r (R.shift_right ra n)), fun () -> show_b (B.shift_right ha n));
+      ("test_bit", (fun () -> string_of_bool (R.test_bit ra n)), fun () -> string_of_bool (B.test_bit ha n));
+      ("bit_length", (fun () -> string_of_int (R.bit_length ra)), fun () -> string_of_int (B.bit_length ha));
+      ("logand", (fun () -> show_r (R.logand ra rb)), fun () -> show_b (B.logand ha hb));
+      ("logor", (fun () -> show_r (R.logor ra rb)), fun () -> show_b (B.logor ha hb));
+      ("logxor", (fun () -> show_r (R.logxor ra rb)), fun () -> show_b (B.logxor ha hb));
+      ("gcd", (fun () -> show_r (R.gcd ra rb)), fun () -> show_b (B.gcd ha hb));
+      ("mod_pow2", (fun () -> show_r (R.mod_pow2 ra n)), fun () -> show_b (B.mod_pow2 ha n));
+      ("signed_mod_pow2", (fun () -> show_r (R.signed_mod_pow2 ra n)),
+       fun () -> show_b (B.signed_mod_pow2 ha n)) ]
+    @ List.map
+        (fun s -> ("of_string " ^ String.escaped s, (fun () -> show_r (R.of_string s)),
+                   fun () -> show_b (B.of_string s)))
+        strings
+    @ [ ("constants", (fun () -> String.concat " " (List.map show_r [ R.zero; R.one; R.two; R.minus_one ])),
+         fun () -> String.concat " " (List.map show_b [ B.zero; B.one; B.two; B.minus_one ])) ]
+  in
+  List.for_all
+    (fun (name, r, h) ->
+      let want = outcome r and got = outcome h in
+      String.equal want got || QCheck.Test.fail_reportf "%s: reference %s, hybrid %s" name want got)
+    checks
+
+(* ------------------------------------------------------------------ *)
+(* The compiled interpreter against [Ref_interp], the tree walk it
+   replaced, on the random programs above: the same outcome and final
+   state at every fuel from 0 up, so they also run out of fuel at the same
+   point.  The callee is randomly lambda-bound or state-resident (L1), and
+   the caller may call it with the wrong arity or call an unknown
+   function. *)
+
+let same_state (s : State.t) (s' : State.t) =
+  State.SMap.equal Value.equal s.State.locals s'.State.locals
+  && State.SMap.equal Value.equal s.State.globals s'.State.globals
+  && Ac_simpl.Heap.equal s.State.heap s'.State.heap
+
+let same_result (r : Interp.run_result) (r' : Interp.run_result) =
+  match (r, r') with
+  | Interp.Returns (v, s), Interp.Returns (v', s') | Interp.Throws (v, s), Interp.Throws (v', s') ->
+    Value.equal v v' && same_state s s'
+  | Interp.Fails p, Interp.Fails q | Interp.Gets_stuck p, Interp.Gets_stuck q -> String.equal p q
+  | Interp.Diverges, Interp.Diverges -> true
+  | (Interp.Returns _ | Interp.Throws _ | Interp.Fails _ | Interp.Gets_stuck _ | Interp.Diverges), _ ->
+    false
+
+(* f(x, y) = if x = 0 then base else (z <- callee(args); rest), where the
+   callee is f itself (recursion on x - 1), h, or a name nothing defines,
+   and the call may follow a loop counting up to x. *)
+let gen_interp_prog =
+  QCheck.Gen.(
+    let* hbody = gen_prog [ "a" ] 2 in
+    let* base = gen_prog [ "x"; "y" ] 2 in
+    let* rest = gen_prog [ "z"; "x"; "y" ] 2 in
+    let* target, args =
+      frequency
+        [ (3, return ("f", [ E.Binop (E.Sub, E.Var ("x", u32), w32 1); E.Var ("y", u32) ]));
+          (3, map (fun a -> ("h", [ a ])) (gen_wexpr [ "x"; "y" ] 1));
+          (1, return ("h", [ E.Var ("x", u32); E.Var ("y", u32) ]));
+          (1, return ("nope", [ E.Var ("x", u32) ])) ]
+    in
+    let* h_in_state = bool in
+    let* count_up = bool in
+    let call = M.Bind (M.Call (target, args), M.Pvar ("z", u32), rest) in
+    let i = E.Var ("i", u32) in
+    let body =
+      M.Cond
+        ( E.Binop (E.Eq, E.Var ("x", u32), w32 0),
+          base,
+          if count_up then
+            (* x loop iterations before the call. *)
+            M.Bind
+              ( M.While
+                  ( M.Pvar ("i", u32), E.Binop (E.Lt, i, E.Var ("x", u32)),
+                    M.Return (E.Binop (E.Add, i, w32 1)), w32 0 ),
+                M.Pwild, call )
+          else call )
+    in
+    return (h_in_state, hbody, body))
+
+let arb_interp_prog =
+  QCheck.make
+    ~print:(fun ((h_in_state, hbody, body), (x, y)) ->
+      Printf.sprintf "h (%s) = %s\nf = %s\nx=%d y=%d"
+        (if h_in_state then "locals in state" else "lambda-bound")
+        (Ac_monad.Mprint.to_string hbody) (Ac_monad.Mprint.to_string body) x y)
+    QCheck.Gen.(pair gen_interp_prog (pair (int_range 0 6) (int_range 0 0xFFFF)))
+
+let compiled_interp_agrees ((h_in_state, hbody, body), (x, y)) =
+  let h = mk_ufunc "h" [ ("a", u32) ] hbody in
+  let h =
+    if h_in_state then { h with M.convention = M.Locals_in_state; locals = [ ("a", u32); ("ret", u32) ] }
+    else h
+  in
+  let prog = { M.lenv; globals = [ ("g", u32) ]; funcs = [ mk_ufunc "f" [ ("x", u32); ("y", u32) ] body; h ];
+               heap_types = [] } in
+  let state0 = State.set_global State.empty "g" (Value.vword Ty.Unsigned (W.of_int W.W32 7)) in
+  let args = [ Value.vword Ty.Unsigned (W.of_int W.W32 x); Value.vword Ty.Unsigned (W.of_int W.W32 y) ] in
+  let compiled = Interp.compile prog in
+  List.for_all
+    (fun fuel ->
+      let want = Ref_interp.run_func prog ~fuel state0 "f" args in
+      same_result want (Interp.run compiled ~fuel state0 "f" args)
+      && same_result want (Interp.run_func prog ~fuel state0 "f" args)
+      || QCheck.Test.fail_reportf "disagreement at fuel %d" fuel)
+    (List.init 24 Fun.id @ [ 5000 ])
+
+(* Fuel is spent per call, the entry call included: a run that makes c
+   calls returns with c units of fuel and more, and diverges with c - 1. *)
+let fuel_boundary () =
+  let n = E.Var ("n", u32) in
+  let parity name other ~zero =
+    { M.name; params = [ ("n", u32) ]; ret_ty = u32; convention = M.Lambda_bound;
+      heap_model = M.Byte_level; locals = [];
+      body = M.Cond (E.Binop (E.Eq, n, w32 0), M.Return (w32 zero),
+                     M.Call (other, [ E.Binop (E.Sub, n, w32 1) ])) }
+  in
+  let prog = { M.lenv; globals = []; heap_types = [];
+               funcs = [ parity "is_even" "is_odd" ~zero:1; parity "is_odd" "is_even" ~zero:0 ] } in
+  List.iter
+    (fun k ->
+      let calls = k + 1 in
+      let run fuel =
+        match Interp.run_func prog ~fuel State.empty "is_even" [ Value.vword Ty.Unsigned (W.of_int W.W32 k) ] with
+        | Interp.Returns (v, _) -> Value.to_string v
+        | Interp.Diverges -> "diverges"
+        | _ -> "other"
+      in
+      let even = if k mod 2 = 0 then "1" else "0" in
+      Alcotest.(check string) (Printf.sprintf "is_even %d, fuel = calls - 1" k) "diverges" (run (calls - 1));
+      Alcotest.(check string) (Printf.sprintf "is_even %d, fuel = calls" k) even (run calls);
+      Alcotest.(check string) (Printf.sprintf "is_even %d, fuel = calls + 1" k) even (run (calls + 1)))
+    [ 0; 1; 7; 1000 ]
+
+let rep_props =
+  let open QCheck in
+  [
+    Test.make ~name:"hybrid bignum = digit-array reference, every operation" ~count:1000
+      arb_bignum_case bignum_agrees;
+    Test.make ~name:"compiled interpreter = tree-walking reference at every fuel" ~count:400
+      arb_interp_prog compiled_interp_agrees;
+  ]
+
+(* ------------------------------------------------------------------ *)
 
 let props =
   let open QCheck in
@@ -726,4 +1010,6 @@ let props =
       ~count:300 arb_callprog interproc_discharge_sound;
   ]
 
-let suite = List.map QCheck_alcotest.to_alcotest (props @ map_props)
+let suite =
+  ("interpreter fuel: exact call count, and one less", `Quick, fuel_boundary)
+  :: List.map QCheck_alcotest.to_alcotest (props @ map_props @ rep_props)
